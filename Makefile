@@ -5,9 +5,9 @@
 # allocs/op snapshots that future PRs can gate against). Keep this filter
 # in sync with the bench-regression job's -bench pattern.
 BENCH_FILTER ?= BenchmarkRun|BenchmarkEngineRun|BenchmarkStreamRunner|BenchmarkScale|BenchmarkSweep|BenchmarkBatchSweep|BenchmarkOnlineSubmit|BenchmarkOnlineRetry|BenchmarkMetricsRender
-BENCH_RECORD ?= BENCH_PR10.json
+BENCH_RECORD ?= BENCH_PR12.json
 
-.PHONY: test build vet lint bench bench-record
+.PHONY: test build vet lint bench bench-record aptbench
 
 build:
 	go build ./...
@@ -39,3 +39,15 @@ bench:
 bench-record:
 	go test -run '^$$' -bench '$(BENCH_FILTER)' -benchmem -count 3 -timeout 30m ./... \
 		| go run ./ci/benchrecord -o $(BENCH_RECORD)
+
+# aptbench smoke-runs the repository benchmark (aptbench/BENCHMARK.md) once
+# per workload and fails unless every run's last line reports
+# "correct": true, which pins the simulator digests in
+# aptbench/digests.json. Builds land in .bench_build/. CI's aptbench-smoke
+# job calls this target.
+aptbench:
+	@for w in sim-apt-sweep sim-heft-200k serve-submit serve-graph; do \
+		last="$$(bash aptbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 | tail -n 1)"; \
+		echo "$$w: $$last"; \
+		echo "$$last" | grep -q '"correct": *true' || { echo "aptbench: $$w is not correct" >&2; exit 1; }; \
+	done

@@ -113,18 +113,18 @@ func RunBatch(ctx context.Context, configs []RunConfig, opts *BatchOptions) ([]*
 // runOne executes one config of a batch on a worker's reusable engine,
 // sharing prepared state through the worker's memo.
 func runOne(w *sim.Worker, cfg RunConfig) (*Result, error) {
-	run, pol, err := prepareRun(cfg, w)
+	run, err := prepareRun(cfg, w)
 	if err != nil {
 		return nil, err
 	}
-	res, err := w.Runner().Run(run.Costs, pol, run.Opt)
+	res, err := w.Runner().Run(run.costs, run.pol, run.opt)
 	if err != nil {
 		return nil, err
 	}
-	if err := res.ValidateLanes(cfg.Workload.g, cfg.Machine.sys, run.Opt.Lanes); err != nil {
+	if err := res.ValidateLanes(cfg.Workload.g, cfg.Machine.sys, run.opt.Lanes); err != nil {
 		return nil, fmt.Errorf("internal error, invalid schedule: %w", err)
 	}
-	return assemble(res, cfg.Workload, cfg.Machine, pol, run.Opt.Lanes), nil
+	return assemble(res, cfg.Workload, cfg.Machine, run.pol, run.opt.Lanes), nil
 }
 
 // costsMemoKey identifies one prepared cost oracle in a worker's memo. It
@@ -152,15 +152,13 @@ type tableMemoKey struct {
 type policyMemoKey struct{ p Policy }
 
 // memoCosts returns the prepared cost oracle for (g, m, tab, cfg), from
-// the worker's memo when one is supplied. The lane count only shards the
-// row fills — prepared tables are byte-identical for every value — so it
-// is deliberately absent from the memo key.
-func memoCosts(w *sim.Worker, g *dfg.Graph, m *Machine, tab *lut.Table, cfg sim.CostConfig, lanes int) (*sim.Costs, error) {
+// the worker's memo when one is supplied.
+func memoCosts(w *sim.Worker, g *dfg.Graph, m *Machine, tab *lut.Table, cfg sim.CostConfig) (*sim.Costs, error) {
 	if w == nil {
-		return sim.PrepareCostsLanes(g, m.sys, tab, cfg, lanes)
+		return sim.PrepareCosts(g, m.sys, tab, cfg)
 	}
 	v, err := w.Memo(costsMemoKey{g: g, m: m, cfg: cfg, tab: tab}, func() (any, error) {
-		return sim.PrepareCostsLanes(g, m.sys, tab, cfg, lanes)
+		return sim.PrepareCosts(g, m.sys, tab, cfg)
 	})
 	if err != nil {
 		return nil, err
@@ -168,25 +166,33 @@ func memoCosts(w *sim.Worker, g *dfg.Graph, m *Machine, tab *lut.Table, cfg sim.
 	return v.(*sim.Costs), nil
 }
 
-// prepareRun turns one RunConfig into an engine-level batch run plus the
-// policy instance (kept so APT allocation stats can be read back). A
-// non-nil worker supplies the prepared-state memo; Run passes nil.
-func prepareRun(cfg RunConfig, w *sim.Worker) (sim.BatchRun, sim.Policy, error) {
+// preparedRun is one config resolved to engine inputs: the estimate cost
+// oracle, a policy instance (kept so APT allocation stats can be read back)
+// and engine options.
+type preparedRun struct {
+	costs *sim.Costs
+	pol   sim.Policy
+	opt   sim.Options
+}
+
+// prepareRun turns one RunConfig into engine inputs. A non-nil worker
+// supplies the prepared-state memo; Run passes nil.
+func prepareRun(cfg RunConfig, w *sim.Worker) (preparedRun, error) {
 	if cfg.Workload == nil || cfg.Machine == nil {
-		return sim.BatchRun{}, nil, fmt.Errorf("run requires a workload and a machine")
+		return preparedRun{}, fmt.Errorf("run requires a workload and a machine")
 	}
 	opts := cfg.Options
 	if opts == nil {
 		opts = &Options{}
 	}
 	if err := validateArrivals(cfg.Workload.NumKernels(), opts.Arrivals); err != nil {
-		return sim.BatchRun{}, nil, err
+		return preparedRun{}, err
 	}
 	mode := sim.TransferMax
 	if opts.SerialTransfers {
 		mode = sim.TransferSum
 	}
-	costCfg := sim.CostConfig{ElemBytes: opts.ElemBytes, Mode: mode, Float32Exec: opts.Float32Costs}
+	costCfg := sim.CostConfig{ElemBytes: opts.ElemBytes, Mode: mode}
 	simOpt := sim.Options{
 		SchedOverheadMs: opts.SchedOverheadMs,
 		ArrivalTimes:    opts.Arrivals,
@@ -200,37 +206,37 @@ func prepareRun(cfg RunConfig, w *sim.Worker) (sim.BatchRun, sim.Policy, error) 
 	if p := opts.Perturb; p != nil {
 		actualTab, err := memoNoisyTable(w, estTab, p.Noise)
 		if err != nil {
-			return sim.BatchRun{}, nil, err
+			return preparedRun{}, err
 		}
 		if p.Oracle {
 			// Perfect information: the policy sees the actual table, so no
 			// estimate/actual split remains (degradation still applies).
 			estTab = actualTab
 		} else if actualTab != estTab {
-			actual, err := memoCosts(w, cfg.Workload.g, cfg.Machine, actualTab, costCfg, opts.Lanes)
+			actual, err := memoCosts(w, cfg.Workload.g, cfg.Machine, actualTab, costCfg)
 			if err != nil {
-				return sim.BatchRun{}, nil, err
+				return preparedRun{}, err
 			}
 			simOpt.ActualCosts = actual
 		}
 		if len(p.Events) > 0 {
 			sched, err := perturb.NewSchedule(internalEvents(p.Events))
 			if err != nil {
-				return sim.BatchRun{}, nil, err
+				return preparedRun{}, err
 			}
 			simOpt.Degrade = sched
 		}
 	}
 
-	costs, err := memoCosts(w, cfg.Workload.g, cfg.Machine, estTab, costCfg, opts.Lanes)
+	costs, err := memoCosts(w, cfg.Workload.g, cfg.Machine, estTab, costCfg)
 	if err != nil {
-		return sim.BatchRun{}, nil, err
+		return preparedRun{}, err
 	}
 	pol, err := memoPolicy(w, cfg.Policy)
 	if err != nil {
-		return sim.BatchRun{}, nil, err
+		return preparedRun{}, err
 	}
-	return sim.BatchRun{Costs: costs, Policy: pol, Opt: simOpt}, pol, nil
+	return preparedRun{costs: costs, pol: pol, opt: simOpt}, nil
 }
 
 // memoNoisyTable returns the actual-time table a Noise produces from tab,

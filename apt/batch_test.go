@@ -95,8 +95,8 @@ func TestRunBatchCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	results, err := apt.RunBatch(ctx, cfgs, nil)
-	if err == nil {
-		t.Fatal("want error after cancelled context")
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	for i, r := range results {
 		if r != nil {

@@ -235,36 +235,3 @@ func TestScale1MDeterminism(t *testing.T) {
 		t.Fatal("headline metrics differ between serial and per-CPU lanes")
 	}
 }
-
-// TestFloat32CostsDeterminism pins the float32 cost-table contract: the
-// option changes estimates (quantisation is documented as NOT byte-identical
-// to float64) but each mode is internally deterministic across lane counts,
-// and every schedule still validates.
-func TestFloat32CostsDeterminism(t *testing.T) {
-	w, err := GenerateLayeredWorkload(1000, 0, 0, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := ScaleMachine(8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var baseline string
-	for _, lanes := range []int{0, 2, -1} {
-		res, err := Run(w, m, HEFT(), &Options{Float32Costs: true, Lanes: lanes})
-		if err != nil {
-			t.Fatalf("lanes=%d: %v", lanes, err)
-		}
-		if res.MakespanMs <= 0 {
-			t.Fatalf("lanes=%d: makespan %v", lanes, res.MakespanMs)
-		}
-		fp := resultFingerprint(t, res)
-		if baseline == "" {
-			baseline = fp
-			continue
-		}
-		if fp != baseline {
-			t.Fatalf("lanes=%d: float32 result differs across lane counts", lanes)
-		}
-	}
-}

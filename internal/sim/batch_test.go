@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"context"
-	"errors"
 	"reflect"
 	"testing"
 
@@ -54,87 +52,6 @@ func (g *leanGreedy) Select(st *State) []Assignment {
 	}
 	g.out = out
 	return out
-}
-
-func TestRunBatchMatchesSequential(t *testing.T) {
-	costs := suiteCosts(t, 4)
-	build := func() []BatchRun {
-		var runs []BatchRun
-		for _, c := range costs {
-			runs = append(runs, BatchRun{Costs: c, Policy: &leanGreedy{}})
-			runs = append(runs, BatchRun{Costs: c, Policy: &outOfOrderStatic{}, Opt: Options{SchedOverheadMs: 0.25}})
-		}
-		return runs
-	}
-
-	seqRuns := build()
-	want := make([]*Result, len(seqRuns))
-	for i, r := range seqRuns {
-		res, err := Run(r.Costs, r.Policy, r.Opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = res
-	}
-
-	for _, workers := range []int{1, 2, 7} {
-		got, err := RunBatch(context.Background(), build(), BatchOptions{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range want {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("workers=%d: run %d differs from sequential Run:\ngot  %+v\nwant %+v",
-					workers, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestRunBatchErrorKeepsOtherResults(t *testing.T) {
-	costs := suiteCosts(t, 2)
-	runs := []BatchRun{
-		{Costs: costs[0], Policy: &leanGreedy{}},
-		{Costs: nil, Policy: &leanGreedy{}}, // invalid
-		{Costs: costs[1], Policy: &leanGreedy{}},
-	}
-	results, err := RunBatch(context.Background(), runs, BatchOptions{})
-	if err == nil {
-		t.Fatal("want error for invalid run")
-	}
-	var be *BatchError
-	if !errors.As(err, &be) || len(be.Errs) != 1 {
-		t.Fatalf("want BatchError with 1 failure, got %v", err)
-	}
-	var re *RunError
-	if !errors.As(be.Errs[0], &re) || re.Index != 1 {
-		t.Fatalf("want RunError with index 1, got %v", be.Errs[0])
-	}
-	if results[0] == nil || results[2] == nil {
-		t.Error("successful runs should still report results")
-	}
-	if results[1] != nil {
-		t.Error("failed run should leave a nil result")
-	}
-}
-
-func TestRunBatchCancelled(t *testing.T) {
-	costs := suiteCosts(t, 1)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	runs := []BatchRun{
-		{Costs: costs[0], Policy: &leanGreedy{}},
-		{Costs: costs[0], Policy: &leanGreedy{}},
-	}
-	results, err := RunBatch(ctx, runs, BatchOptions{})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	for i, r := range results {
-		if r != nil {
-			t.Errorf("run %d: want nil result after pre-cancelled context", i)
-		}
-	}
 }
 
 func TestRunnerReuseMatchesFreshRuns(t *testing.T) {
@@ -350,39 +267,6 @@ func BenchmarkRunnerWarm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := r.Run(c, pol, Options{}); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRunBatch measures the batch runner fanning the full Type2 suite
-// across all CPUs, the shape cmd/sweep produces.
-func BenchmarkRunBatch(b *testing.B) {
-	costs := suiteCosts(b, 10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runs := make([]BatchRun, len(costs))
-		for j, c := range costs {
-			runs[j] = BatchRun{Costs: c, Policy: &leanGreedy{}}
-		}
-		if _, err := RunBatch(context.Background(), runs, BatchOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRunBatchSequentialBaseline is the same workload as
-// BenchmarkRunBatch executed with sequential Run calls, for the speedup
-// comparison.
-func BenchmarkRunBatchSequentialBaseline(b *testing.B) {
-	costs := suiteCosts(b, 10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, c := range costs {
-			if _, err := Run(c, &leanGreedy{}, Options{}); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 }

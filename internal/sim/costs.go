@@ -19,7 +19,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/dfg"
 	"repro/internal/lut"
@@ -57,16 +56,6 @@ type CostConfig struct {
 	ElemBytes float64
 	// Mode selects multi-predecessor transfer combination; default TransferMax.
 	Mode TransferMode
-	// Float32Exec stores the execution-time matrix as float32 instead of
-	// float64, halving the dominant per-kernel table cost (np×4 instead of
-	// np×8 bytes per kernel). Every lookup still returns float64 — the
-	// quantisation happens exactly once, at table build — so a run is fully
-	// deterministic, but its low-order bits differ from the float64 table's:
-	// results are NOT byte-identical between the two storages. Opt in only
-	// where that is acceptable (relative quantisation error ≤ 2⁻²⁴ ≈ 6e-8,
-	// far below measurement noise in any measured lookup table; see
-	// ARCHITECTURE.md "Memory layout & partitioned execution").
-	Float32Exec bool
 }
 
 // DefaultCostConfig returns the documented defaults (4 bytes/element,
@@ -92,45 +81,49 @@ func DefaultCostConfig() CostConfig { return CostConfig{ElemBytes: 4, Mode: Tran
 // durations further over time; neither ever leaks into the estimate side,
 // which is what makes robustness runs honest: policies decide on beliefs,
 // reality charges the truth.
+//
+// # Cost classes
+//
+// Every per-kernel cost is a pure function of the kernel fields the cost
+// model reads — Name and DataElems for execution, OutElems for transfers —
+// so PrepareCosts interns kernels into classes keyed by that triple and
+// stores each distinct row once. A 1M-kernel scale graph has 25 classes.
 type Costs struct {
 	g   *dfg.Graph
 	sys *platform.System
 	cfg CostConfig
 	np  int
-	// exec is the kernel×processor execution-time matrix flattened row-major
-	// with stride np (exec[k*np+p]), one contiguous allocation regardless of
-	// graph size. Exactly one of exec/exec32 is populated: with
-	// CostConfig.Float32Exec the matrix lives in exec32 at half the bytes,
-	// quantised once at build time, and every accessor widens on read.
-	exec   []float64
-	exec32 []float32
-	best   []platform.ProcID
-	mean   []float64 // mean exec across procs, for HEFT ranks
-
-	// ranked is the per-kernel ascending-execution-time processor order,
-	// flattened with stride np and built lazily on the first RankedProcs
-	// call (many runs never need it; 100k-kernel graphs should not pay an
-	// O(n·P log P) sort up front). Rows are quantised to uint16 processor
-	// indices — 2 bytes per entry instead of a 4-byte ProcID — which is why
-	// PrepareCosts caps systems at 65535 processors. sync.Once keeps the
-	// build race-free — one Costs is shared across worker goroutines.
-	rankOnce sync.Once
-	ranked   []uint16
+	// class[k] is kernel k's cost class. Classes are numbered in order of
+	// their lowest kernel ID.
+	class []int32
+	// rows holds one row per class, flattened with stride np+rowStats:
+	// the class's execution time on each processor, then its reductions
+	// at offsets rowMean, rowMeanXfer and rowBest past the times. The best
+	// ProcID is stored as a float64 (exact for any processor count) so the
+	// whole class table is a single allocation.
+	rows []float64
 }
 
-// PrepareCosts precomputes the kernel×processor execution-time matrix and
-// validates that the table covers every kernel in the graph on every
-// processor kind in the system.
+// Offsets of a class row's reductions past its np execution times.
+const (
+	rowMean     = iota // mean exec across procs, for HEFT ranks
+	rowMeanXfer        // mean output transfer over ordered proc pairs
+	rowBest            // processor with the minimum execution time
+	rowStats           // reductions per row
+)
+
+// classKey is every kernel field the cost model reads.
+type classKey struct {
+	name                string
+	dataElems, outElems int64
+}
+
+// PrepareCosts interns the graph's kernels into cost classes, precomputes
+// each class's execution-time row, and validates that the table covers
+// every kernel in the graph on every processor kind in the system. The
+// table is consulted once per class×processor; on a miss the error names
+// the lowest-ID uncovered kernel, as a per-kernel scan would.
 func PrepareCosts(g *dfg.Graph, sys *platform.System, tab *lut.Table, cfg CostConfig) (*Costs, error) {
-	return PrepareCostsLanes(g, sys, tab, cfg, 1)
-}
-
-// PrepareCostsLanes is PrepareCosts with the per-kernel row fills sharded
-// across parallel lanes (0 or 1 serial, < 0 one per CPU). Rows are independent
-// — each lane writes a disjoint slice of the matrix and derives best/mean
-// per row — and the lookup table is immutable, so the resulting oracle is
-// byte-identical for every lane count.
-func PrepareCostsLanes(g *dfg.Graph, sys *platform.System, tab *lut.Table, cfg CostConfig, lanes int) (*Costs, error) {
 	if g == nil || sys == nil || tab == nil {
 		return nil, fmt.Errorf("sim: PrepareCosts requires graph, system and table")
 	}
@@ -140,59 +133,61 @@ func PrepareCostsLanes(g *dfg.Graph, sys *platform.System, tab *lut.Table, cfg C
 	if cfg.ElemBytes < 0 {
 		return nil, fmt.Errorf("sim: negative ElemBytes %v", cfg.ElemBytes)
 	}
-	n := g.NumKernels()
 	np := sys.NumProcs()
-	if np > math.MaxUint16 {
-		return nil, fmt.Errorf("sim: %d processors exceed the ranked-order table's uint16 index space (max %d)", np, math.MaxUint16)
-	}
+	kernels := g.Kernels()
 	c := &Costs{
-		g:    g,
-		sys:  sys,
-		cfg:  cfg,
-		np:   np,
-		best: make([]platform.ProcID, n),
-		mean: make([]float64, n),
+		g:     g,
+		sys:   sys,
+		cfg:   cfg,
+		np:    np,
+		class: make([]int32, len(kernels)),
 	}
-	if cfg.Float32Exec {
-		c.exec32 = make([]float32, n*np)
-	} else {
-		c.exec = make([]float64, n*np)
-	}
-	errs := make([]laneError, normLanes(lanes, n))
-	parallelChunks(n, lanes, func(ch laneChunk) {
-		for id := ch.lo; id < ch.hi; id++ {
-			k := g.Kernel(dfg.KernelID(id))
-			sum := 0.0
-			best := platform.ProcID(0)
-			bestMs := math.Inf(1)
-			for p := 0; p < np; p++ {
-				ms, err := tab.Exec(k.Name, k.DataElems, sys.KindOf(platform.ProcID(p)))
-				if err != nil {
-					errs[ch.lane] = laneError{at: id, err: fmt.Errorf("sim: kernel %d (%s, %d elems) on proc %d: %w",
-						id, k.Name, k.DataElems, p, err)}
-					return
-				}
-				if c.exec32 != nil {
-					// Quantise exactly once at build: every later read
-					// widens the same stored value, so estimates stay
-					// self-consistent across policies and the engine.
-					c.exec32[id*np+p] = float32(ms)
-					ms = float64(c.exec32[id*np+p])
-				} else {
-					c.exec[id*np+p] = ms
-				}
-				sum += ms
-				if ms < bestMs {
-					bestMs = ms
-					best = platform.ProcID(p)
-				}
-			}
-			c.best[id] = best
-			c.mean[id] = sum / float64(np)
+	// Pass 1: intern, numbering classes in order of first appearance. The
+	// hint holds a catalog-priced graph's classes (18–25 at any size)
+	// without regrowing the map.
+	ids := make(map[classKey]int32, 32)
+	for id := range kernels {
+		k := &kernels[id]
+		key := classKey{name: k.Name, dataElems: k.DataElems, outElems: k.OutElems}
+		cls, ok := ids[key]
+		if !ok {
+			cls = int32(len(ids))
+			ids[key] = cls
 		}
-	})
-	if err := firstLaneError(errs); err != nil {
-		return nil, err
+		c.class[id] = cls
+	}
+	// Pass 2: one lookup per class×proc at each class's first kernel, in
+	// ascending ID order, so the first failure is at the lowest uncovered
+	// kernel ID.
+	stride := np + rowStats
+	c.rows = make([]float64, len(ids)*stride)
+	next := int32(0)
+	for id, cls := range c.class {
+		if cls != next {
+			continue // a later member of an already-filled class
+		}
+		next++
+		k := &kernels[id]
+		row := c.rows[int(cls)*stride : int(cls+1)*stride]
+		sum := 0.0
+		best := platform.ProcID(0)
+		bestMs := math.Inf(1)
+		for p := range np {
+			ms, err := tab.Exec(k.Name, k.DataElems, sys.KindOf(platform.ProcID(p)))
+			if err != nil {
+				return nil, fmt.Errorf("sim: kernel %d (%s, %d elems) on proc %d: %w",
+					id, k.Name, k.DataElems, p, err)
+			}
+			row[p] = ms
+			sum += ms
+			if ms < bestMs {
+				bestMs = ms
+				best = platform.ProcID(p)
+			}
+		}
+		row[np+rowMean] = sum / float64(np)
+		row[np+rowMeanXfer] = c.meanTransferElems(k.OutElems)
+		row[np+rowBest] = float64(best)
 	}
 	return c, nil
 }
@@ -210,105 +205,32 @@ func (c *Costs) Config() CostConfig { return c.cfg }
 //
 //apt:hotpath
 func (c *Costs) Exec(k dfg.KernelID, p platform.ProcID) float64 {
-	if c.exec32 != nil {
-		return float64(c.exec32[int(k)*c.np+int(p)])
-	}
-	return c.exec[int(k)*c.np+int(p)]
+	return c.rows[c.rowStart(k)+int(p)]
 }
+
+// rowStart is the offset of kernel k's class row in rows.
+func (c *Costs) rowStart(k dfg.KernelID) int { return int(c.class[k]) * (c.np + rowStats) }
 
 // ExecRow returns kernel k's execution times across all processors,
-// indexed by ProcID. With float64 storage (the default) the slice aliases
-// the flat cost table — do not modify. With Float32Exec storage the row is
-// widened into a fresh slice per call; allocation-sensitive callers on
-// compact tables should prefer AppendExecRow with a reused buffer.
+// indexed by ProcID. The slice aliases the cost table and is shared by
+// every kernel of k's class — do not modify.
 func (c *Costs) ExecRow(k dfg.KernelID) []float64 {
-	if c.exec32 != nil {
-		return c.AppendExecRow(make([]float64, 0, c.np), k)
-	}
-	return c.exec[int(k)*c.np : int(k+1)*c.np]
-}
-
-// AppendExecRow appends kernel k's execution times across all processors
-// (indexed by ProcID, same values as ExecRow) to buf and returns the
-// extended slice. With a reused buffer the query is allocation-free on both
-// storages.
-func (c *Costs) AppendExecRow(buf []float64, k dfg.KernelID) []float64 {
-	if c.exec32 != nil {
-		for _, v := range c.exec32[int(k)*c.np : int(k+1)*c.np] {
-			buf = append(buf, float64(v))
-		}
-		return buf
-	}
-	return append(buf, c.exec[int(k)*c.np:int(k+1)*c.np]...)
+	row := c.rowStart(k)
+	return c.rows[row : row+c.np : row+c.np]
 }
 
 // MeanExec returns the mean execution time of kernel k across all
 // processors (the w̄ᵢ of HEFT's upward rank).
-func (c *Costs) MeanExec(k dfg.KernelID) float64 { return c.mean[k] }
+func (c *Costs) MeanExec(k dfg.KernelID) float64 { return c.rows[c.rowStart(k)+c.np+rowMean] }
 
 // BestProc returns the processor with the minimum execution time for k
 // (the paper's pmin) and that minimum time. Ties break to the lower ID.
 //
 //apt:hotpath
 func (c *Costs) BestProc(k dfg.KernelID) (platform.ProcID, float64) {
-	p := c.best[k]
-	return p, c.Exec(k, p)
-}
-
-// rankedRow returns kernel k's ascending-execution-time processor order
-// from the lazily built flat table (ties by ID), as quantised uint16
-// processor indices. The first call pays one O(n·P log P) pass; later calls
-// are a slice expression.
-func (c *Costs) rankedRow(k dfg.KernelID) []uint16 {
-	c.rankOnce.Do(func() {
-		n := c.g.NumKernels()
-		np := c.np
-		ranked := make([]uint16, n*np)
-		for id := 0; id < n; id++ {
-			out := ranked[id*np : (id+1)*np]
-			for i := range out {
-				out[i] = uint16(i)
-			}
-			exec := func(p uint16) float64 { return c.Exec(dfg.KernelID(id), platform.ProcID(p)) }
-			// Insertion sort: np is small (3 in the paper's system, a few
-			// hundred at most for the scale machines).
-			for i := 1; i < np; i++ {
-				for j := i; j > 0; j-- {
-					a, b := out[j-1], out[j]
-					// Three-way cost comparison (no float equality):
-					// exact ties order by processor ID.
-					if exec(a) < exec(b) {
-						break
-					}
-					if exec(b) < exec(a) || b < a {
-						out[j-1], out[j] = b, a
-					} else {
-						break
-					}
-				}
-			}
-		}
-		c.ranked = ranked
-	})
-	return c.ranked[int(k)*c.np : int(k+1)*c.np]
-}
-
-// RankedProcs returns all processors ordered by ascending execution time
-// for k (ties by ID). The slice is fresh and owned by the caller;
-// allocation-sensitive callers should prefer AppendRankedProcs.
-func (c *Costs) RankedProcs(k dfg.KernelID) []platform.ProcID {
-	return c.AppendRankedProcs(make([]platform.ProcID, 0, c.np), k)
-}
-
-// AppendRankedProcs appends kernel k's ascending-execution-time processor
-// order (same order as RankedProcs) to buf and returns the extended slice;
-// with a reused buffer the query is allocation-free after the table's
-// one-time lazy build.
-func (c *Costs) AppendRankedProcs(buf []platform.ProcID, k dfg.KernelID) []platform.ProcID {
-	for _, p := range c.rankedRow(k) {
-		buf = append(buf, platform.ProcID(p))
-	}
-	return buf
+	row := c.rowStart(k)
+	p := platform.ProcID(c.rows[row+c.np+rowBest])
+	return p, c.rows[row+int(p)]
 }
 
 // TransferMs returns the time to move elems elements across the directed
@@ -357,11 +279,15 @@ func (c *Costs) TransferIn(k dfg.KernelID, p platform.ProcID, placement func(dfg
 // pairs on the same processor contribute zero, matching the standard
 // formulation of averaging over all processor pairs).
 func (c *Costs) MeanTransfer(u dfg.KernelID) float64 {
-	np := c.sys.NumProcs()
+	return c.rows[c.rowStart(u)+c.np+rowMeanXfer]
+}
+
+// meanTransferElems is MeanTransfer for an output of elems elements.
+func (c *Costs) meanTransferElems(elems int64) float64 {
+	np := c.np
 	if np <= 1 {
 		return 0
 	}
-	elems := c.g.Kernel(u).OutElems
 	var sum float64
 	for i := 0; i < np; i++ {
 		for j := 0; j < np; j++ {

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/dfg"
+	"repro/internal/lut"
 	"repro/internal/platform"
+	"repro/internal/workload"
 )
 
 func TestPrepareCostsValidation(t *testing.T) {
@@ -49,10 +51,6 @@ func TestCostsExecAndBest(t *testing.T) {
 	}
 	if got := c.MeanExec(ka); math.Abs(got-(10+2+50)/3.0) > 1e-9 {
 		t.Errorf("MeanExec(a) = %v", got)
-	}
-	ranked := c.RankedProcs(ka)
-	if ranked[0] != gpu || ranked[1] != cpu || ranked[2] != fpga {
-		t.Errorf("RankedProcs(a) = %v, want [gpu cpu fpga]", ranked)
 	}
 }
 
@@ -160,5 +158,196 @@ func TestElemBytesScalesTransfers(t *testing.T) {
 	r4 := c4.TransferMs(1000, 0, 1)
 	if math.Abs(r8-2*r4) > 1e-12 {
 		t.Errorf("8-byte transfer %v should be 2x 4-byte %v", r8, r4)
+	}
+}
+
+// classEnv is a four-processor system with distinct link rates and a
+// lookup table with two sizes per kernel, so distinct data sizes
+// interpolate to distinct rows and MeanTransfer averages unequal links.
+func classEnv(t testing.TB) (*platform.System, *lut.Table) {
+	t.Helper()
+	b := platform.NewBuilder()
+	cpu := b.AddProcessor(platform.CPU, "")
+	gpu := b.AddProcessor(platform.GPU, "")
+	fpga := b.AddProcessor(platform.FPGA, "")
+	gpu2 := b.AddProcessor(platform.GPU, "")
+	b.SetUniformRate(4)
+	b.SetRate(cpu, gpu, 3).SetRate(gpu, fpga, 7).SetRate(gpu2, cpu, 1.5)
+	tab, err := lut.New([]lut.Entry{
+		{Kernel: "a", DataElems: 1000, TimeMs: map[platform.Kind]float64{
+			platform.CPU: 10, platform.GPU: 2, platform.FPGA: 50}},
+		{Kernel: "a", DataElems: 9000, TimeMs: map[platform.Kind]float64{
+			platform.CPU: 70, platform.GPU: 9.5, platform.FPGA: 333}},
+		{Kernel: "b", DataElems: 1000, TimeMs: map[platform.Kind]float64{
+			platform.CPU: 4, platform.GPU: 8, platform.FPGA: 1}},
+		{Kernel: "b", DataElems: 9000, TimeMs: map[platform.Kind]float64{
+			platform.CPU: 31, platform.GPU: 50, platform.FPGA: 1.7}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.MustBuild(), tab
+}
+
+// assertMatchesReference checks every oracle accessor against values the
+// test computes per kernel straight from the lookup table and TransferMs,
+// bit for bit: interning must not change a single returned float.
+func assertMatchesReference(t testing.TB, c *Costs, tab *lut.Table) {
+	t.Helper()
+	bits := math.Float64bits
+	g, sys := c.Graph(), c.System()
+	np := sys.NumProcs()
+	for id := 0; id < g.NumKernels(); id++ {
+		k := dfg.KernelID(id)
+		kn := g.Kernel(k)
+		row := c.ExecRow(k)
+		if len(row) != np {
+			t.Fatalf("kernel %d: ExecRow has %d entries, want %d", id, len(row), np)
+		}
+		sum, best, bestMs := 0.0, platform.ProcID(0), math.Inf(1)
+		for p := 0; p < np; p++ {
+			pid := platform.ProcID(p)
+			want, err := tab.Exec(kn.Name, kn.DataElems, sys.KindOf(pid))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := c.Exec(k, pid); bits(got) != bits(want) {
+				t.Fatalf("kernel %d: Exec(proc %d) = %v, want %v", id, p, got, want)
+			}
+			if bits(row[p]) != bits(want) {
+				t.Fatalf("kernel %d: ExecRow[%d] = %v, want %v", id, p, row[p], want)
+			}
+			sum += want
+			if want < bestMs {
+				best, bestMs = pid, want
+			}
+		}
+		if p, ms := c.BestProc(k); p != best || bits(ms) != bits(bestMs) {
+			t.Fatalf("kernel %d: BestProc = %d/%v, want %d/%v", id, p, ms, best, bestMs)
+		}
+		if got, want := c.MeanExec(k), sum/float64(np); bits(got) != bits(want) {
+			t.Fatalf("kernel %d: MeanExec = %v, want %v", id, got, want)
+		}
+		xfer := 0.0
+		if np > 1 {
+			for i := 0; i < np; i++ {
+				for j := 0; j < np; j++ {
+					if i != j {
+						xfer += c.TransferMs(kn.OutElems, platform.ProcID(i), platform.ProcID(j))
+					}
+				}
+			}
+			xfer /= float64(np * np)
+		}
+		if got := c.MeanTransfer(k); bits(got) != bits(xfer) {
+			t.Fatalf("kernel %d: MeanTransfer = %v, want %v", id, got, xfer)
+		}
+	}
+}
+
+func TestCostClassesMatchReference(t *testing.T) {
+	sys, tab := classEnv(t)
+
+	t.Run("shared fields, one differing", func(t *testing.T) {
+		b := dfg.NewBuilder()
+		k0 := b.AddKernel(dfg.Kernel{Name: "a", DataElems: 1000})
+		k1 := b.AddKernel(dfg.Kernel{Name: "a", DataElems: 1000, OutElems: 5_000_000})
+		k2 := b.AddKernel(dfg.Kernel{Name: "a", DataElems: 1000})
+		k3 := b.AddKernel(dfg.Kernel{Name: "b", DataElems: 4000, OutElems: 7})
+		k4 := b.AddKernel(dfg.Kernel{Name: "b", DataElems: 4000})
+		k5 := b.AddKernel(dfg.Kernel{Name: "a", DataElems: 5000, OutElems: 1000})
+		b.AddEdge(k0, k1).AddEdge(k1, k2).AddEdge(k2, k3).AddEdge(k3, k4).AddEdge(k4, k5)
+		c, err := PrepareCosts(b.MustBuild(), sys, tab, CostConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertMatchesReference(t, c, tab)
+		if got := len(c.rows) / (c.np + rowStats); got != 5 {
+			t.Errorf("%d classes, want 5", got)
+		}
+		if c.class[k0] != c.class[k2] || c.class[k0] == c.class[k1] || c.class[k3] == c.class[k4] || c.class[k0] == c.class[k5] {
+			t.Errorf("class IDs %v: want k0 = k2, k0 ≠ k1, k3 ≠ k4, k0 ≠ k5", c.class)
+		}
+		if c.MeanTransfer(k1) <= c.MeanTransfer(k0) {
+			t.Error("a larger output must cost more to move")
+		}
+	})
+
+	t.Run("all kernels distinct", func(t *testing.T) {
+		b := dfg.NewBuilder()
+		const n = 64
+		for i := 0; i < n; i++ {
+			name := "a"
+			if i%2 == 1 {
+				name = "b"
+			}
+			id := b.AddKernel(dfg.Kernel{Name: name, DataElems: int64(1000 + 131*i)})
+			if i > 0 {
+				b.AddEdge(id-1, id)
+			}
+		}
+		c, err := PrepareCosts(b.MustBuild(), sys, tab, CostConfig{Mode: TransferSum, ElemBytes: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertMatchesReference(t, c, tab)
+		if got := len(c.rows) / (c.np + rowStats); got != n {
+			t.Errorf("%d classes, want one per kernel (%d)", got, n)
+		}
+	})
+
+	t.Run("paper suite", func(t *testing.T) {
+		g := workload.MustSuite(workload.Type2, workload.DefaultSuiteSeed)[0]
+		c, err := PrepareCosts(g, platform.PaperSystem(4), lut.Paper(), CostConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertMatchesReference(t, c, lut.Paper())
+	})
+}
+
+// TestPrepareCostsLowestIDError pins the uncovered-kernel error to the
+// lowest-ID kernel and its first uncovered processor, as a per-kernel scan
+// reports it, whatever order the classes' other members appear in.
+func TestPrepareCostsLowestIDError(t *testing.T) {
+	sys, tab := classEnv(t)
+	b := dfg.NewBuilder()
+	k0 := b.AddKernel(dfg.Kernel{Name: "a", DataElems: 1000})
+	k1 := b.AddKernel(dfg.Kernel{Name: "a", DataElems: 1000})
+	k2 := b.AddKernel(dfg.Kernel{Name: "zeta", DataElems: 1000})
+	k3 := b.AddKernel(dfg.Kernel{Name: "mystery", DataElems: 1000})
+	k4 := b.AddKernel(dfg.Kernel{Name: "zeta", DataElems: 1000})
+	b.AddEdge(k0, k3).AddEdge(k1, k2).AddEdge(k3, k4)
+	_, err := PrepareCosts(b.MustBuild(), sys, tab, CostConfig{})
+	const want = `sim: kernel 2 (zeta, 1000 elems) on proc 0: lut: unknown kernel "zeta"`
+	if err == nil || err.Error() != want {
+		t.Fatalf("error = %v, want %s", err, want)
+	}
+}
+
+// TestPrepareCostsAllocsFixedClasses: with the class count fixed, cost prep
+// allocates the same number of objects at every graph size — the only
+// per-kernel storage is the one class-ID slice.
+func TestPrepareCostsAllocsFixedClasses(t *testing.T) {
+	sys, tab := classEnv(t)
+	allocs := func(n int) float64 {
+		b := dfg.NewBuilder()
+		for i := 0; i < n; i++ {
+			name := "a"
+			if i%2 == 1 {
+				name = "b"
+			}
+			b.AddKernel(dfg.Kernel{Name: name, DataElems: int64(1000 * (1 + i%3))})
+		}
+		g := b.MustBuild()
+		return testing.AllocsPerRun(5, func() {
+			if _, err := PrepareCosts(g, sys, tab, CostConfig{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(60), allocs(60_000)
+	if large != small {
+		t.Errorf("PrepareCosts allocs grow with n at 6 classes: %v at 60 kernels, %v at 60000", small, large)
 	}
 }

@@ -505,7 +505,7 @@ func grow[T any](s []T, n int) []T {
 // across runs — the event heap, ready list, per-processor queues and all
 // per-kernel bookkeeping arrays survive between calls, so a warm Runner
 // allocates only what escapes into each Result. A Runner is NOT safe for
-// concurrent use; RunBatch gives every worker its own.
+// concurrent use; RunPool gives every worker its own.
 type Runner struct {
 	e engine
 }
@@ -665,7 +665,7 @@ var runnerPool = sync.Pool{New: func() any { return NewRunner() }}
 // will schedule. Run draws a warm Runner from an internal pool, so repeated
 // calls cost little more than Runner reuse; callers wanting explicit
 // control (or single-goroutine cheapness) can still hold their own Runner,
-// and RunBatch gives every worker one.
+// and RunPool gives every worker one.
 func Run(c *Costs, pol Policy, opt Options) (*Result, error) {
 	r := runnerPool.Get().(*Runner)
 	res, err := r.Run(c, pol, opt)

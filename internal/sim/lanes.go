@@ -13,11 +13,10 @@ import (
 // because policies observe global state (ready set, processor availability)
 // at every decision point, so any reordering would change the schedule
 // itself. What lanes do parallelise are the trajectory-independent phases
-// around the loop: cost-table preparation (per-kernel rows are
-// independent), schedule validation (per-kernel lifecycle checks and
+// around the loop: schedule validation (per-kernel lifecycle checks and
 // per-processor occupancy scans), latency-array assembly and the public
-// result conversion. Those phases are 30–50% of a large run's wall time
-// and are embarrassingly parallel over kernels or processors.
+// result conversion. Those phases are embarrassingly parallel over kernels
+// or processors.
 //
 // # Determinism invariant
 //

@@ -46,8 +46,8 @@ func fuzzDAG(data []byte) *dfg.Graph {
 // FuzzLanesOracle is the partition-vs-serial oracle: for arbitrary DAGs the
 // lane-parallel engine must produce byte-identical serialized results to
 // the serial engine for every lane count, the lane-parallel validator must
-// accept every schedule the serial one accepts, and lane-prepared cost
-// tables must match the serial tables bit for bit.
+// accept every schedule the serial one accepts, and the interned cost
+// oracle must match per-kernel lookups bit for bit.
 func FuzzLanesOracle(f *testing.F) {
 	f.Add([]byte{5, 0})
 	f.Add([]byte{11, 1, 0, 1, 1, 2, 0, 2, 5, 9})
@@ -58,11 +58,12 @@ func FuzzLanesOracle(f *testing.F) {
 		if g == nil {
 			return
 		}
-		serialCosts, err := PrepareCosts(g, env.sys, env.tab, CostConfig{})
+		costs, err := PrepareCosts(g, env.sys, env.tab, CostConfig{})
 		if err != nil {
 			return
 		}
-		serial, err := Run(serialCosts, &greedy{}, Options{Lanes: 1})
+		assertMatchesReference(t, costs, env.tab)
+		serial, err := Run(costs, &greedy{}, Options{Lanes: 1})
 		if err != nil {
 			return
 		}
@@ -71,21 +72,7 @@ func FuzzLanesOracle(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, lanes := range []int{2, 4, -1} {
-			laneCosts, err := PrepareCostsLanes(g, env.sys, env.tab, CostConfig{}, lanes)
-			if err != nil {
-				t.Fatalf("lanes=%d: PrepareCostsLanes: %v", lanes, err)
-			}
-			for k := 0; k < g.NumKernels(); k++ {
-				id := dfg.KernelID(k)
-				rowS := serialCosts.ExecRow(id)
-				rowL := laneCosts.ExecRow(id)
-				for p := range rowS {
-					if rowS[p] != rowL[p] {
-						t.Fatalf("lanes=%d: exec[%d][%d] = %v, serial %v", lanes, k, p, rowL[p], rowS[p])
-					}
-				}
-			}
-			res, err := Run(laneCosts, &greedy{}, Options{Lanes: lanes})
+			res, err := Run(costs, &greedy{}, Options{Lanes: lanes})
 			if err != nil {
 				t.Fatalf("lanes=%d: run failed where serial succeeded: %v", lanes, err)
 			}
