@@ -151,6 +151,15 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(w, PaperMachine(4), APT(0.5), nil); err == nil {
 		t.Error("bad alpha accepted")
 	}
+	// NaN would pass a plain α < 1 test and make every alternative fail
+	// the threshold, silently turning APT into MET.
+	for _, alpha := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, p := range []Policy{APT(alpha), APTR(alpha)} {
+			if _, err := Run(w, PaperMachine(4), p, nil); err == nil {
+				t.Errorf("%s(α=%v) accepted", p.Name(), alpha)
+			}
+		}
+	}
 }
 
 func TestRunOptions(t *testing.T) {

@@ -92,8 +92,8 @@ func (a *APT) Prepare(c *sim.Costs) error {
 	if a.Alpha == 0 {
 		a.Alpha = DefaultAlpha
 	}
-	if a.Alpha < 1 {
-		return fmt.Errorf("core: APT flexibility factor α must be >= 1, got %v", a.Alpha)
+	if math.IsNaN(a.Alpha) || math.IsInf(a.Alpha, 0) || a.Alpha < 1 {
+		return fmt.Errorf("core: APT flexibility factor α must be finite and >= 1, got %v", a.Alpha)
 	}
 	a.c = c
 	// Reuse the per-kernel map across Prepare calls so re-running a pooled
@@ -122,6 +122,8 @@ func (a *APT) Stats() AltStats {
 // in first-come-first-serve order, is assigned to pmin when pmin is
 // available; otherwise to the cheapest available alternative processor
 // within the threshold; otherwise it waits.
+//
+//apt:hotpath
 func (a *APT) Select(st *sim.State) []sim.Assignment {
 	np := st.System().NumProcs()
 	if cap(a.avail) < np {
@@ -153,7 +155,7 @@ func (a *APT) Select(st *sim.State) []sim.Assignment {
 		if !ok {
 			continue // wait for pmin
 		}
-		if a.ConsiderRemaining && a.waitingWins(st, k, pmin, x, altCost) {
+		if a.ConsiderRemaining && a.waitingWins(st, st.TransferRow(k)[pmin], pmin, x, altCost) {
 			continue // APT-R: pmin will be free soon enough; wait
 		}
 		avail[palt] = false
@@ -169,9 +171,9 @@ func (a *APT) Select(st *sim.State) []sim.Assignment {
 
 // findAlternative implements find2ndBestProc of Algorithm 1: among the
 // processors still available in this batch, pick the one minimising
-// execution time plus incoming data transfer time, provided that total is
-// within threshold = α·x. Returns ok=false when no available processor
-// qualifies.
+// execution time plus incoming data transfer time, exec[p] + xfer[p] from
+// the kernel's exec and transfer rows, provided that total is within
+// threshold = α·x. Returns ok=false when no available processor qualifies.
 func (a *APT) findAlternative(
 	st *sim.State,
 	k dfg.KernelID,
@@ -180,14 +182,21 @@ func (a *APT) findAlternative(
 	avail []bool,
 ) (platform.ProcID, float64, bool) {
 	threshold := a.Alpha * x
+	exec := a.c.ExecRow(k)
+	var xfer []float64
 	best := platform.ProcID(-1)
 	bestCost := math.Inf(1)
 	for pi, free := range avail {
 		p := platform.ProcID(pi)
-		if !free || p == pmin {
+		// Transfers are never negative, so exec[p] > threshold rules p out
+		// exactly; the transfer row is fetched only for a candidate.
+		if !free || p == pmin || exec[p] > threshold {
 			continue
 		}
-		cost := a.c.Exec(k, p) + a.transferTo(st, k, p)
+		if xfer == nil {
+			xfer = st.TransferRow(k)
+		}
+		cost := exec[p] + xfer[p]
 		// Strict < plus ascending iteration makes ties break to lower IDs.
 		if cost <= threshold && cost < bestCost {
 			best, bestCost = p, cost
@@ -199,24 +208,14 @@ func (a *APT) findAlternative(
 	return best, bestCost, true
 }
 
-// transferTo prices moving the kernel's predecessor outputs to processor p
-// from wherever those predecessors ran.
-func (a *APT) transferTo(st *sim.State, k dfg.KernelID, p platform.ProcID) float64 {
-	return a.c.TransferIn(k, p, func(pred dfg.KernelID) platform.ProcID {
-		if pp, ok := st.ProcOf(pred); ok {
-			return pp
-		}
-		return p // ready kernels have placed predecessors; defensive default
-	})
-}
-
 // waitingWins estimates, for APT-R, whether waiting for pmin finishes the
-// kernel earlier than taking the alternative now.
-func (a *APT) waitingWins(st *sim.State, k dfg.KernelID, pmin platform.ProcID, x, altCost float64) bool {
+// kernel earlier than taking the alternative now; xferMin is the kernel's
+// incoming-transfer time onto pmin.
+func (a *APT) waitingWins(st *sim.State, xferMin float64, pmin platform.ProcID, x, altCost float64) bool {
 	wait := st.BusyUntil(pmin) - st.Now()
 	if wait < 0 {
 		wait = 0
 	}
-	finishIfWait := wait + a.transferTo(st, k, pmin) + x
+	finishIfWait := wait + xferMin + x
 	return finishIfWait <= altCost
 }

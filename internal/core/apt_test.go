@@ -78,8 +78,10 @@ func TestFigure5Golden(t *testing.T) {
 func TestAlphaValidation(t *testing.T) {
 	g := figure5Graph(t)
 	c := paperCosts(t, g, 4)
-	if _, err := sim.Run(c, New(0.5), sim.Options{}); err == nil {
-		t.Error("α < 1 accepted")
+	for _, alpha := range []float64{0.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := sim.Run(c, New(alpha), sim.Options{}); err == nil {
+			t.Errorf("α = %v accepted", alpha)
+		}
 	}
 	// α = 0 selects the default.
 	a := New(0)

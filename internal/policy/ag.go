@@ -68,11 +68,12 @@ func (a *AG) Select(st *sim.State) []sim.Assignment {
 	a.ready = st.AppendReady(a.ready[:0])
 	out := a.out[:0]
 	for _, k := range a.ready {
+		xfer := st.TransferRow(k)
 		bestP := platform.ProcID(-1)
 		bestTau := math.Inf(1)
 		for p := 0; p < np; p++ {
 			pid := platform.ProcID(p)
-			tau := a.waitEstimate(st, k, pid) + extraMs[p]
+			tau := a.waitEstimate(st, k, pid, xfer[p]) + extraMs[p]
 			if tau < bestTau {
 				bestTau, bestP = tau, pid
 			}
@@ -84,8 +85,9 @@ func (a *AG) Select(st *sim.State) []sim.Assignment {
 	return out
 }
 
-// waitEstimate computes τ_g for kernel k on processor p per Eq. 1–2.
-func (a *AG) waitEstimate(st *sim.State, k dfg.KernelID, p platform.ProcID) float64 {
+// waitEstimate computes τ_g for kernel k on processor p per Eq. 1–2;
+// tauD is the kernel's incoming-transfer time onto p.
+func (a *AG) waitEstimate(st *sim.State, k dfg.KernelID, p platform.ProcID, tauD float64) float64 {
 	// N_g: kernel calls pending on p — its queue plus the running slot.
 	ng := st.QueueLen(p)
 	if !st.Available(p) {
@@ -100,12 +102,6 @@ func (a *AG) waitEstimate(st *sim.State, k dfg.KernelID, p platform.ProcID) floa
 		tauK = a.c.Exec(k, p)
 	}
 	tauQ := float64(ng) * tauK
-	tauD := a.c.TransferIn(k, p, func(pred dfg.KernelID) platform.ProcID {
-		if pp, ok := st.ProcOf(pred); ok {
-			return pp
-		}
-		return p // unplaced predecessor: no transfer charged
-	})
 	return tauQ + tauD
 }
 

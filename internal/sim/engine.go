@@ -377,6 +377,95 @@ func (s *State) ProcOf(k dfg.KernelID) (platform.ProcID, bool) {
 	return p, p >= 0
 }
 
+// TransferRow returns the incoming-transfer time of ready kernel k onto
+// every processor, indexed by ProcID and priced by estimate: row[p] is
+// Costs().TransferIn(k, p, …) with each predecessor on the processor it
+// was committed to. k must be in AppendReady's output; asking for any
+// other kernel that has predecessors panics.
+//
+// A ready kernel's predecessors are all committed and a commit never
+// moves, so the row cannot change until k itself is committed. It is
+// therefore priced on the first call and cached until then; later calls
+// return the same slice. The slice is read-only and stays valid until
+// Select returns.
+//
+//apt:hotpath
+func (s *State) TransferRow(k dfg.KernelID) []float64 {
+	e := s.e
+	if int(k) < len(e.xferSlot) && e.xferSlot[k] >= 0 {
+		np := e.costs.np
+		off := int(e.xferSlot[k]) * np
+		return e.xferRows[off : off+np : off+np]
+	}
+	return e.transferRowMiss(k)
+}
+
+// transferRowMiss is TransferRow for a kernel without a row yet: it sizes
+// the index on a run's first call, so runs whose policy never asks pay
+// nothing for it, and then prices k's row. Kernels without predecessors
+// point at the shared zero row in slot 0; commit resets a kernel's entry
+// to -1, so asking after the commit lands here too and is rejected.
+func (e *engine) transferRowMiss(k dfg.KernelID) []float64 {
+	if e.readyIdx[k] < 0 {
+		e.badTransferRow(k)
+	}
+	np := e.costs.np
+	if len(e.xferSlot) == 0 {
+		g := e.costs.g
+		e.xferSlot = grow(e.xferSlot, g.NumKernels())
+		for i := range e.xferSlot {
+			e.xferSlot[i] = -1
+			if g.InDegree(dfg.KernelID(i)) == 0 {
+				e.xferSlot[i] = 0
+			}
+		}
+		e.growTransferRows()
+		e.xferRows = e.xferRows[:np]
+		clear(e.xferRows)
+		if e.xferSlot[k] == 0 {
+			return e.xferRows[:np:np]
+		}
+	}
+	slot := e.xferFree
+	if slot > 0 {
+		e.xferFree = int32(e.xferRows[int(slot)*np])
+	} else {
+		slot = int32(len(e.xferRows) / np)
+		if len(e.xferRows)+np > cap(e.xferRows) {
+			e.growTransferRows()
+		}
+		e.xferRows = e.xferRows[:len(e.xferRows)+np]
+	}
+	off := int(slot) * np
+	row := e.xferRows[off : off+np : off+np]
+	for p := range row {
+		row[p] = e.costs.TransferIn(k, platform.ProcID(p), e.placeFn)
+	}
+	e.xferSlot[k] = slot
+	return row
+}
+
+// growTransferRows makes room for one row per ready-list entry plus the
+// zero row. Only ready kernels hold a slot, so that always suffices for
+// the next slot, and the rows grow only when the ready list has grown.
+func (e *engine) growTransferRows() {
+	want := (cap(e.ready) + 1) * e.costs.np
+	if cap(e.xferRows) >= want {
+		return
+	}
+	grown := make([]float64, len(e.xferRows), want)
+	copy(grown, e.xferRows)
+	e.xferRows = grown
+}
+
+// badTransferRow panics for a TransferRow call on a kernel that is not
+// ready: its predecessors may be uncommitted, so no row exists.
+//
+//apt:coldpath
+func (e *engine) badTransferRow(k dfg.KernelID) {
+	panic(fmt.Sprintf("sim: policy %s asked TransferRow of kernel %d, which is not ready", e.pol.Name(), k))
+}
+
 // RecentExecAvg returns the mean execution time of the last k kernels that
 // completed on processor p (the τᵍₖ of the AG policy, Eq. 2). If fewer than
 // k kernels have completed it averages what exists; with no history it
@@ -416,7 +505,6 @@ type engine struct {
 	// int32 like every per-kernel array: KernelIDs are 32-bit, so indices
 	// into kernel-length slices fit by construction.
 	readyIdx  []int32
-	readyAt   []float64
 	predsLeft []int32
 	arrived   []bool
 	assigned  []bool
@@ -439,6 +527,19 @@ type engine struct {
 
 	// arena slab-allocates the escaping placement blocks; see slab.go.
 	arena placementArena
+
+	// The transfer-row cache behind State.TransferRow. xferRows holds the
+	// rows slot-major, np entries per slot; slot 0 is the all-zero row that
+	// every kernel without predecessors shares. xferSlot maps a kernel to
+	// its slot, or -1 before its row is priced; it stays empty for runs
+	// whose policy never asks and is filled on a run's first TransferRow
+	// call. commit pushes a kernel's own slot onto a free list threaded
+	// through the freed rows: xferFree is its head, and a freed row's first
+	// entry holds the next free slot as an exact float64. Slot 0 is never
+	// freed, so 0 ends the list.
+	xferSlot []int32
+	xferRows []float64
+	xferFree int32
 
 	// placeFn resolves a predecessor's processor for transfer pricing. It is
 	// built once per engine (not per start call) so the hot path does not
@@ -612,9 +713,11 @@ func (e *engine) reset(c, actual *Costs, pol Policy, opt Options) {
 	e.lambdas = e.lambdas[:0]
 	e.sojourns = e.sojourns[:0]
 	e.qwaits = e.qwaits[:0]
+	e.xferSlot = e.xferSlot[:0]
+	e.xferRows = e.xferRows[:0]
+	e.xferFree = 0
 
 	e.readyIdx = grow(e.readyIdx, n)
-	e.readyAt = grow(e.readyAt, n)
 	e.predsLeft = grow(e.predsLeft, n)
 	e.arrived = grow(e.arrived, n)
 	e.assigned = grow(e.assigned, n)
@@ -622,7 +725,6 @@ func (e *engine) reset(c, actual *Costs, pol Policy, opt Options) {
 	e.procOf = grow(e.procOf, n)
 	for i := 0; i < n; i++ {
 		e.readyIdx[i] = -1
-		e.readyAt[i] = 0
 		e.predsLeft[i] = 0
 		e.arrived[i] = false
 		e.assigned[i] = false
@@ -690,7 +792,6 @@ func (r *Runner) release() {
 func (e *engine) arrive(k dfg.KernelID) {
 	e.arrived[k] = true
 	if e.predsLeft[k] == 0 {
-		e.readyAt[k] = e.now
 		e.placements[k].Ready = e.now
 		if !e.assigned[k] {
 			e.pushReady(k)
@@ -726,6 +827,13 @@ func (e *engine) commit(a Assignment) {
 	_, best := e.actual.BestProc(a.Kernel)
 	e.placements[a.Kernel].BestExecMs = best
 	e.queues[a.Proc].push(a.Kernel)
+	if len(e.xferSlot) > 0 {
+		if slot := e.xferSlot[a.Kernel]; slot > 0 {
+			e.xferRows[int(slot)*e.costs.np] = float64(e.xferFree)
+			e.xferFree = slot
+			e.xferSlot[a.Kernel] = -1
+		}
+	}
 	// Drop from the ready list if present (static policies may assign
 	// kernels that are not ready yet, in any order).
 	e.removeReady(a.Kernel)
@@ -825,7 +933,6 @@ func (e *engine) complete(ev event) {
 	for _, s := range e.costs.g.Succs(k) {
 		e.predsLeft[s]--
 		if e.predsLeft[s] == 0 && e.arrived[s] {
-			e.readyAt[s] = e.now
 			e.placements[s].Ready = e.now
 			if !e.assigned[s] {
 				e.pushReady(s)
@@ -867,7 +974,9 @@ func (e *engine) result() *Result {
 	parallelChunks(n, lanes, e.latFn)
 	sojourns, qwaits := e.sojourns, e.qwaits
 	var makespan float64
-	lambdas := e.lambdas[:0]
+	// At most one λ per kernel: sizing the scratch once spares a cold
+	// Runner the append-doubling allocations.
+	lambdas := grow(e.lambdas, n)[:0]
 	for i := range e.placements {
 		pl := &e.placements[i]
 		if pl.Finish > makespan {
