@@ -7,7 +7,7 @@
 BENCH_FILTER ?= BenchmarkRun|BenchmarkEngineRun|BenchmarkStreamRunner|BenchmarkScale|BenchmarkSweep|BenchmarkBatchSweep|BenchmarkOnlineSubmit|BenchmarkOnlineRetry|BenchmarkMetricsRender
 BENCH_RECORD ?= BENCH_PR13.json
 
-.PHONY: test build vet lint bench bench-record aptbench
+.PHONY: test build vet lint bench bench-record aptbench fuzz
 
 build:
 	go build ./...
@@ -28,6 +28,20 @@ lint:
 
 test:
 	go test ./...
+
+# fuzz runs every Fuzz* target in the module for 10 s beyond its seed
+# corpus, one `go test -fuzz` per target (go test fuzzes one target per
+# invocation). Targets are discovered per package with `go test -list`, so
+# a new fuzzer needs no edit here. A failing input is written under the
+# package's testdata/fuzz. CI's fuzz job calls this target.
+fuzz:
+	@set -e; for pkg in $$(go list -f '{{if or .TestGoFiles .XTestGoFiles}}{{.ImportPath}}{{end}}' ./...); do \
+		list="$$(go test -list '^Fuzz' $$pkg)"; \
+		for t in $$(echo "$$list" | grep '^Fuzz' || true); do \
+			echo "fuzz: $$pkg $$t"; \
+			go test -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s $$pkg; \
+		done; \
+	done
 
 bench:
 	go test -run '^$$' -bench '$(BENCH_FILTER)' -benchmem ./...

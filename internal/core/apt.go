@@ -151,11 +151,18 @@ func (a *APT) Select(st *sim.State) []sim.Assignment {
 			out = append(out, sim.Assignment{Kernel: k, Proc: pmin})
 			continue
 		}
-		palt, altCost, ok := a.findAlternative(st, k, pmin, x, avail)
-		if !ok {
+		// avail[pmin] is false here. The exec-only pre-check lets a kernel
+		// with no candidate wait without its transfer row being built.
+		exec, threshold := a.c.ExecRow(k), a.Alpha*x
+		if !anyWithin(exec, avail, threshold) {
 			continue // wait for pmin
 		}
-		if a.ConsiderRemaining && a.waitingWins(st, st.TransferRow(k)[pmin], pmin, x, altCost) {
+		xfer := st.TransferRow(k)
+		palt, altCost := PickAlt(exec, xfer, avail, threshold)
+		if palt < 0 {
+			continue // wait for pmin
+		}
+		if a.ConsiderRemaining && a.waitingWins(st, xfer[pmin], pmin, x, altCost) {
 			continue // APT-R: pmin will be free soon enough; wait
 		}
 		avail[palt] = false
@@ -163,49 +170,10 @@ func (a *APT) Select(st *sim.State) []sim.Assignment {
 		a.stats.Assignments++
 		a.stats.AltAssignments++
 		a.stats.ByKernel[st.Graph().Kernel(k).Name]++
-		out = append(out, sim.Assignment{Kernel: k, Proc: palt})
+		out = append(out, sim.Assignment{Kernel: k, Proc: platform.ProcID(palt)})
 	}
 	a.out = out
 	return out
-}
-
-// findAlternative implements find2ndBestProc of Algorithm 1: among the
-// processors still available in this batch, pick the one minimising
-// execution time plus incoming data transfer time, exec[p] + xfer[p] from
-// the kernel's exec and transfer rows, provided that total is within
-// threshold = α·x. Returns ok=false when no available processor qualifies.
-func (a *APT) findAlternative(
-	st *sim.State,
-	k dfg.KernelID,
-	pmin platform.ProcID,
-	x float64,
-	avail []bool,
-) (platform.ProcID, float64, bool) {
-	threshold := a.Alpha * x
-	exec := a.c.ExecRow(k)
-	var xfer []float64
-	best := platform.ProcID(-1)
-	bestCost := math.Inf(1)
-	for pi, free := range avail {
-		p := platform.ProcID(pi)
-		// Transfers are never negative, so exec[p] > threshold rules p out
-		// exactly; the transfer row is fetched only for a candidate.
-		if !free || p == pmin || exec[p] > threshold {
-			continue
-		}
-		if xfer == nil {
-			xfer = st.TransferRow(k)
-		}
-		cost := exec[p] + xfer[p]
-		// Strict < plus ascending iteration makes ties break to lower IDs.
-		if cost <= threshold && cost < bestCost {
-			best, bestCost = p, cost
-		}
-	}
-	if best < 0 {
-		return -1, 0, false
-	}
-	return best, bestCost, true
 }
 
 // waitingWins estimates, for APT-R, whether waiting for pmin finishes the

@@ -9,27 +9,26 @@ import (
 	"repro/internal/workload"
 )
 
-func TestRunMemoises(t *testing.T) {
+func TestSuiteMemoises(t *testing.T) {
 	r := NewRunner(Config{})
-	a, err := r.Run(workload.Type1, 0, 4, PolicySpec{Name: "MET"})
+	a, err := r.Suite(workload.Type1, 4, PolicySpec{Name: "MET"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Run(workload.Type1, 0, 4, PolicySpec{Name: "MET"})
+	b, err := r.Suite(workload.Type1, 4, PolicySpec{Name: "MET"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Error("identical runs not memoised")
+	for i := range a {
+		if a[i] != b[i] {
+			t.Errorf("experiment %d: identical runs not memoised", i+1)
+		}
 	}
 }
 
-func TestRunErrors(t *testing.T) {
+func TestSuiteUnknownPolicy(t *testing.T) {
 	r := NewRunner(Config{})
-	if _, err := r.Run(workload.Type1, 99, 4, PolicySpec{Name: "MET"}); err == nil {
-		t.Error("out-of-range graph accepted")
-	}
-	if _, err := r.Run(workload.Type1, 0, 4, PolicySpec{Name: "BOGUS"}); err == nil {
+	if _, err := r.Suite(workload.Type1, 4, PolicySpec{Name: "BOGUS"}); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }

@@ -158,74 +158,6 @@ func (r *Runner) newPolicy(spec PolicySpec) (sim.Policy, error) {
 	}
 }
 
-// prepareCell builds the cost oracle and a fresh policy instance for one
-// (graph, rate, policy) cell.
-func (r *Runner) prepareCell(g *dfg.Graph, rate platform.GBps, spec PolicySpec) (*sim.Costs, sim.Policy, *platform.System, error) {
-	sys := platform.PaperSystem(rate)
-	costs, err := sim.PrepareCosts(g, sys, lut.Paper(), sim.CostConfig{
-		ElemBytes: r.cfg.ElemBytes,
-		Mode:      r.cfg.TransferMode,
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	pol, err := r.newPolicy(spec)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return costs, pol, sys, nil
-}
-
-// outcomeOf converts an engine result into the cached Outcome form.
-func outcomeOf(spec PolicySpec, res *sim.Result, pol sim.Policy) *Outcome {
-	o := &Outcome{
-		Policy:        spec.Name,
-		MakespanMs:    res.MakespanMs,
-		LambdaTotalMs: res.Lambda.TotalMs,
-		LambdaAvgMs:   res.Lambda.AvgMs,
-		LambdaStdMs:   res.Lambda.StdMs,
-	}
-	if apt, ok := pol.(*core.APT); ok {
-		o.Alt = apt.Stats()
-	}
-	return o
-}
-
-// Run simulates one (graph type, experiment index, transfer rate, policy)
-// cell and memoises the outcome. graph is zero-based.
-func (r *Runner) Run(typ workload.GraphType, graph int, rate platform.GBps, spec PolicySpec) (*Outcome, error) {
-	key := runKey{typ, graph, rate, spec.Name, spec.Alpha}
-	r.mu.Lock()
-	if o, ok := r.cache[key]; ok {
-		r.mu.Unlock()
-		return o, nil
-	}
-	r.mu.Unlock()
-
-	graphs := r.Graphs(typ)
-	if graph < 0 || graph >= len(graphs) {
-		return nil, fmt.Errorf("experiments: graph index %d out of range [0,%d)", graph, len(graphs))
-	}
-	g := graphs[graph]
-	costs, pol, sys, err := r.prepareCell(g, rate, spec)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.Run(costs, pol, sim.Options{SchedOverheadMs: r.cfg.SchedOverheadMs})
-	if err != nil {
-		return nil, err
-	}
-	if err := res.Validate(g, sys); err != nil {
-		return nil, fmt.Errorf("experiments: %s on %v graph %d produced an invalid schedule: %w",
-			spec.Name, typ, graph+1, err)
-	}
-	o := outcomeOf(spec, res, pol)
-	r.mu.Lock()
-	r.cache[key] = o
-	r.mu.Unlock()
-	return o, nil
-}
-
 // Suite runs one policy over all ten experiments of a suite and returns
 // the outcomes in experiment order. Uncached cells are fanned across the
 // engine's worker pool (sim.RunPool), which bounds concurrency at
@@ -251,7 +183,15 @@ func (r *Runner) Suite(typ workload.GraphType, rate platform.GBps, spec PolicySp
 
 	errs := sim.RunPool(context.Background(), len(missing), 0, func(j int, w *sim.Worker) error {
 		i := missing[j]
-		costs, pol, sys, err := r.prepareCell(graphs[i], rate, spec)
+		sys := platform.PaperSystem(rate)
+		costs, err := sim.PrepareCosts(graphs[i], sys, lut.Paper(), sim.CostConfig{
+			ElemBytes: r.cfg.ElemBytes,
+			Mode:      r.cfg.TransferMode,
+		})
+		if err != nil {
+			return err
+		}
+		pol, err := r.newPolicy(spec)
 		if err != nil {
 			return err
 		}
@@ -263,7 +203,16 @@ func (r *Runner) Suite(typ workload.GraphType, rate platform.GBps, spec PolicySp
 			return fmt.Errorf("experiments: %s on %v graph %d produced an invalid schedule: %w",
 				spec.Name, typ, i+1, err)
 		}
-		o := outcomeOf(spec, res, pol)
+		o := &Outcome{
+			Policy:        spec.Name,
+			MakespanMs:    res.MakespanMs,
+			LambdaTotalMs: res.Lambda.TotalMs,
+			LambdaAvgMs:   res.Lambda.AvgMs,
+			LambdaStdMs:   res.Lambda.StdMs,
+		}
+		if apt, ok := pol.(*core.APT); ok {
+			o.Alt = apt.Stats()
+		}
 		r.mu.Lock()
 		r.cache[runKey{typ, i, rate, spec.Name, spec.Alpha}] = o
 		r.mu.Unlock()

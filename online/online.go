@@ -60,6 +60,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/stats"
 )
 
@@ -71,12 +72,14 @@ type Task struct {
 	// Name labels the task in results and statistics.
 	Name string
 	// EstMs estimates the task's execution time on each processor; it must
-	// have exactly one positive entry per processor. The relative values
-	// drive placement exactly like the thesis's lookup table.
+	// have exactly one positive, finite entry per processor. The relative
+	// values drive placement exactly like the thesis's lookup table.
 	EstMs []float64
 	// XferMs optionally estimates the input-staging cost per processor
-	// (zero-filled when nil). It participates in the alternative-processor
-	// threshold test, like the transfer term of Algorithm 1.
+	// (zero-filled when nil); when set it must have exactly one
+	// non-negative, finite entry per processor. It participates in the
+	// alternative-processor threshold test, like the transfer term of
+	// Algorithm 1.
 	XferMs []float64
 	// Run executes the task on the chosen processor. A nil Run is a no-op
 	// (useful for tests and draining).
@@ -547,8 +550,8 @@ func (s *Scheduler) prepare(t Task, onDone func(Result)) (*liveTask, error) {
 	}
 	pmin := 0
 	for p, e := range t.EstMs {
-		if !(e > 0) { // rejects non-positive and NaN
-			return nil, fmt.Errorf("online: task %q has non-positive estimate %v on processor %d", t.Name, e, p)
+		if !(e > 0) || math.IsInf(e, 1) { // rejects non-positive, NaN and +Inf
+			return nil, fmt.Errorf("online: task %q has estimate %v on processor %d; want positive and finite", t.Name, e, p)
 		}
 		if e < t.EstMs[pmin] {
 			pmin = p
@@ -556,6 +559,11 @@ func (s *Scheduler) prepare(t Task, onDone func(Result)) (*liveTask, error) {
 	}
 	if t.XferMs != nil && len(t.XferMs) != s.np {
 		return nil, fmt.Errorf("online: task %q has %d transfer estimates for %d processors", t.Name, len(t.XferMs), s.np)
+	}
+	for p, x := range t.XferMs {
+		if !(x >= 0) || math.IsInf(x, 1) { // rejects negative, NaN and +Inf
+			return nil, fmt.Errorf("online: task %q has transfer estimate %v on processor %d; want non-negative and finite", t.Name, x, p)
+		}
 	}
 	if math.IsNaN(t.TimeoutMs) || math.IsInf(t.TimeoutMs, 0) {
 		return nil, fmt.Errorf("online: task %q has non-finite TimeoutMs %v", t.Name, t.TimeoutMs)
@@ -648,9 +656,11 @@ func (s *Scheduler) enqueue(lt *liveTask, bounded bool) error {
 }
 
 // tryPlace applies Algorithm 1 to one task against the live idle flags:
-// best processor if idle, else cheapest idle alternative within threshold.
+// best processor if idle, else the alternative core.PickAlt picks from
+// the idle, healthy processors — the same rule the simulator's APT calls.
 // Claims race lock-free: a failed compare-and-swap means another placement
-// won that processor, so the scan repeats against the shrunken idle set.
+// won that processor, so the mask is rebuilt and the pick repeats against
+// the shrunken idle set.
 //
 // A retrying task first excludes the processor that just failed it
 // (lt.avoid) — the thesis's alternative-processor idea applied to failure
@@ -661,7 +671,6 @@ func (s *Scheduler) enqueue(lt *liveTask, bounded bool) error {
 //
 //apt:hotpath
 func (s *Scheduler) tryPlace(lt *liveTask) (ProcID, bool) {
-	t := &lt.task
 	avoid := lt.avoid
 	for pass := 0; pass < 2; pass++ {
 		for attempt := 0; attempt <= s.np; attempt++ {
@@ -669,20 +678,7 @@ func (s *Scheduler) tryPlace(lt *liveTask) (ProcID, bool) {
 				lt.alt, lt.ratio = false, 1
 				return ProcID(lt.pmin), true
 			}
-			threshold := s.Alpha() * lt.bestEst
-			best, bestCost := -1, 0.0
-			for p := 0; p < s.np; p++ {
-				if p == lt.pmin || p == avoid || s.procs[p].busy.Load() || !s.procs[p].healthy.Load() {
-					continue
-				}
-				cost := t.EstMs[p]
-				if t.XferMs != nil {
-					cost += t.XferMs[p]
-				}
-				if cost <= threshold && (best < 0 || cost < bestCost) {
-					best, bestCost = p, cost
-				}
-			}
+			best, bestCost := s.pickAlt(lt, avoid)
 			if best < 0 {
 				break
 			}
@@ -700,6 +696,28 @@ func (s *Scheduler) tryPlace(lt *liveTask) (ProcID, bool) {
 		lt.avoid = -1
 	}
 	return 0, false
+}
+
+// pickAlt applies core.PickAlt to one task against a snapshot of the live
+// flags: a processor is free when it is idle, healthy and neither the
+// task's pmin nor avoid. The mask lives on the stack for up to 64
+// processors; Config.Procs has no upper bound, so larger schedulers
+// allocate it. It is built here rather than in tryPlace so that a task
+// placed on its idle pmin never pays for the mask.
+//
+//apt:hotpath
+func (s *Scheduler) pickAlt(lt *liveTask, avoid int) (int, float64) {
+	var stack [64]bool
+	free := stack[:]
+	if s.np > len(stack) {
+		free = make([]bool, s.np)
+	}
+	free = free[:s.np]
+	for p := range free {
+		pr := &s.procs[p]
+		free[p] = p != lt.pmin && p != avoid && !pr.busy.Load() && pr.healthy.Load()
+	}
+	return core.PickAlt(lt.task.EstMs, lt.task.XferMs, free, s.Alpha()*lt.bestEst)
 }
 
 // claim marks a processor busy if it is idle and healthy. The health flag

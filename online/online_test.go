@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -39,6 +40,20 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, err := s.Submit(Task{EstMs: []float64{1, 2, 3}, XferMs: []float64{1}}); err == nil {
 		t.Error("wrong transfer count accepted")
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	for _, est := range [][]float64{{1, inf, 2}, {inf, inf, inf}, {1, nan, 2}} {
+		if _, err := s.Submit(Task{EstMs: est}); err == nil {
+			t.Errorf("estimates %v accepted", est)
+		}
+	}
+	for _, xfer := range [][]float64{{0, -1, 0}, {0, inf, 0}, {nan, 0, 0}, {0, 0, math.Inf(-1)}} {
+		if _, err := s.Submit(Task{EstMs: []float64{1, 2, 3}, XferMs: xfer}); err == nil {
+			t.Errorf("transfer estimates %v accepted", xfer)
+		}
+	}
+	if _, err := s.Submit(Task{EstMs: []float64{1, 2, 3}, XferMs: []float64{0, 0.5, 0}}); err != nil {
+		t.Errorf("valid transfer estimates rejected: %v", err)
 	}
 }
 
