@@ -121,10 +121,10 @@ func runOne(w *sim.Worker, cfg RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := res.ValidateLanes(cfg.Workload.g, cfg.Machine.sys, run.opt.Lanes); err != nil {
+	if err := res.Validate(cfg.Workload.g, cfg.Machine.sys); err != nil {
 		return nil, fmt.Errorf("internal error, invalid schedule: %w", err)
 	}
-	return assemble(res, cfg.Workload, cfg.Machine, run.pol, run.opt.Lanes), nil
+	return assemble(res, cfg.Workload, cfg.Machine, run.pol), nil
 }
 
 // costsMemoKey identifies one prepared cost oracle in a worker's memo. It
@@ -196,7 +196,6 @@ func prepareRun(cfg RunConfig, w *sim.Worker) (preparedRun, error) {
 	simOpt := sim.Options{
 		SchedOverheadMs: opts.SchedOverheadMs,
 		ArrivalTimes:    opts.Arrivals,
-		Lanes:           opts.Lanes,
 	}
 
 	// A perturbation splits estimation from reality: the estimate table the
@@ -277,10 +276,8 @@ func memoPolicy(w *sim.Worker, p Policy) (sim.Policy, error) {
 }
 
 // assemble converts an engine result into the public Result, mirroring Run.
-// The per-kernel rows are filled into an exact-size preallocation, sharded
-// across the run's lanes (disjoint index ranges, so the output is
-// byte-identical for every lane count — see sim.ParallelOver).
-func assemble(res *sim.Result, w *Workload, m *Machine, pol sim.Policy, lanes int) *Result {
+// The per-kernel rows are filled into an exact-size preallocation.
+func assemble(res *sim.Result, w *Workload, m *Machine, pol sim.Policy) *Result {
 	out := &Result{
 		Policy:        res.Policy,
 		MakespanMs:    res.MakespanMs,
@@ -294,25 +291,22 @@ func assemble(res *sim.Result, w *Workload, m *Machine, pol sim.Policy, lanes in
 		wl:            w,
 	}
 	out.Kernels = make([]KernelRun, len(res.Placements))
-	sim.ParallelOver(len(res.Placements), lanes, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			pl := res.Placements[i]
-			out.Kernels[i] = KernelRun{
-				Kernel:      int32(pl.Kernel),
-				Name:        w.g.Kernel(pl.Kernel).Name,
-				Proc:        int32(pl.Proc),
-				ProcName:    m.sys.Proc(pl.Proc).Name,
-				ArrivalMs:   pl.Arrival,
-				ReadyMs:     pl.Ready,
-				ExecStartMs: pl.ExecStart,
-				FinishMs:    pl.Finish,
-				LambdaMs:    pl.Lambda(),
-				TransferMs:  pl.ExecStart - pl.TransferStart,
-				SojournMs:   pl.Sojourn(),
-				QueueWaitMs: pl.QueueWait(),
-			}
+	for i, pl := range res.Placements {
+		out.Kernels[i] = KernelRun{
+			Kernel:      int32(pl.Kernel),
+			Name:        w.g.Kernel(pl.Kernel).Name,
+			Proc:        int32(pl.Proc),
+			ProcName:    m.sys.Proc(pl.Proc).Name,
+			ArrivalMs:   pl.Arrival,
+			ReadyMs:     pl.Ready,
+			ExecStartMs: pl.ExecStart,
+			FinishMs:    pl.Finish,
+			LambdaMs:    pl.Lambda(),
+			TransferMs:  pl.ExecStart - pl.TransferStart,
+			SojournMs:   pl.Sojourn(),
+			QueueWaitMs: pl.QueueWait(),
 		}
-	})
+	}
 	out.Procs = make([]ProcUse, 0, len(res.ProcStats))
 	for _, st := range res.ProcStats {
 		out.Procs = append(out.Procs, ProcUse{

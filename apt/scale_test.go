@@ -142,96 +142,3 @@ func TestScaleBatchDeterminism(t *testing.T) {
 		}
 	}
 }
-
-// TestScaleLaneDeterminism is the lane-count matrix: a 10k-kernel run must
-// be byte-identical for every Lanes value — 0 (the default, serial), 1, 2,
-// 4 and one-per-CPU — under both a dynamic and a static policy, with the
-// schedule re-validated through the lane-parallel validator each time.
-func TestScaleLaneDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("10k-kernel lane matrix in -short mode")
-	}
-	w, err := GenerateLayeredWorkload(10_000, 0, 0, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := ScaleMachine(8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pol := range []Policy{APT(4), HEFT()} {
-		var baseline string
-		for _, lanes := range []int{0, 1, 2, 4, runtime.NumCPU(), -1} {
-			res, err := Run(w, m, pol, &Options{Lanes: lanes})
-			if err != nil {
-				t.Fatalf("%v lanes=%d: %v", pol, lanes, err)
-			}
-			fp := resultFingerprint(t, res)
-			if baseline == "" {
-				baseline = fp
-				continue
-			}
-			if fp != baseline {
-				t.Fatalf("%v lanes=%d: result differs from serial baseline", pol, lanes)
-			}
-		}
-	}
-}
-
-// TestScale1MDeterminism drives the engine at the million-kernel design
-// point: one 1M-kernel layered DAG scheduled serially and with one lane per
-// CPU must agree byte for byte. Skipped under -short and under -race — the
-// two runs move gigabytes of cost table and placement state (the race-
-// instrumented lane interactions are covered at 10k by the lane matrix
-// above, which CI does run with -race).
-func TestScale1MDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1M-kernel run in -short mode")
-	}
-	if raceEnabled {
-		t.Skip("1M-kernel run under the race detector")
-	}
-	w, err := GenerateLayeredWorkload(1_000_000, 0, 0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := ScaleMachine(8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := Run(w, m, HEFT(), &Options{Lanes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial.Kernels) != 1_000_000 {
-		t.Fatalf("kernels = %d", len(serial.Kernels))
-	}
-	parallel, err := Run(w, m, HEFT(), &Options{Lanes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Field-by-field comparison instead of a JSON fingerprint: marshalling
-	// two million KernelRuns would cost more memory than the runs themselves.
-	if len(parallel.Kernels) != len(serial.Kernels) {
-		t.Fatalf("kernel rows %d vs %d", len(parallel.Kernels), len(serial.Kernels))
-	}
-	for i := range serial.Kernels {
-		if serial.Kernels[i] != parallel.Kernels[i] {
-			t.Fatalf("kernel row %d differs between serial and per-CPU lanes", i)
-		}
-	}
-	if len(parallel.Procs) != len(serial.Procs) {
-		t.Fatalf("proc rows %d vs %d", len(parallel.Procs), len(serial.Procs))
-	}
-	for i := range serial.Procs {
-		if serial.Procs[i] != parallel.Procs[i] {
-			t.Fatalf("proc row %d differs between serial and per-CPU lanes", i)
-		}
-	}
-	if serial.MakespanMs != parallel.MakespanMs ||
-		serial.LambdaTotalMs != parallel.LambdaTotalMs ||
-		serial.Sojourn != parallel.Sojourn ||
-		serial.QueueWait != parallel.QueueWait {
-		t.Fatal("headline metrics differ between serial and per-CPU lanes")
-	}
-}

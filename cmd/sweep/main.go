@@ -82,7 +82,6 @@ func main() {
 		fanIn      = flag.Int("fanin", 0, "scale layered: max predecessors per kernel (0 = default 3)")
 		width      = flag.Int("width", 0, "scale forkjoin: parallel kernels per stage (0 = default 64)")
 		timing     = flag.Bool("timing", false, "scale: print wall-clock throughput to stderr")
-		lanes      = flag.Int("lanes", 0, "scale: parallel lanes per run (0 or 1 serial, -1 one per CPU); output is byte-identical for every value")
 
 		robust  = flag.Bool("robust", false, "robustness mode: sweep estimate-error magnitude vs per-policy regret")
 		noise   = flag.String("noise", "uniform", "robustness: noise model — uniform, lognormal or drift")
@@ -109,7 +108,6 @@ func main() {
 			shape: *scaleShape, sizeCSV: *scaleSizes, policyCSV: *policies,
 			procs: *procs, layers: *layers, fanIn: *fanIn, width: *width,
 			alpha: *alpha, rate: *rate, seed: *seed, timing: *timing,
-			lanes: *lanes,
 		})
 	case *robust:
 		err = runRobust(os.Stdout, robustConfig{

@@ -90,6 +90,19 @@ func TestArrivalValidation(t *testing.T) {
 	if _, err := Run(c, &greedy{}, Options{ArrivalTimes: []float64{-1}}); err == nil {
 		t.Error("negative arrival accepted")
 	}
+	// NaN used to run as if it were 0 and +Inf to a +Inf makespan; both
+	// must be rejected like a negative time, on a chain as well as alone.
+	b := dfg.NewBuilder()
+	b.AddEdge(b.AddKernel(dfg.Kernel{Name: "a", DataElems: 1000}), b.AddKernel(dfg.Kernel{Name: "b", DataElems: 1000}))
+	chain := mustCosts(t, b.MustBuild(), env)
+	for _, at := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Run(c, &greedy{}, Options{ArrivalTimes: []float64{at}}); err == nil {
+			t.Errorf("arrival %v accepted", at)
+		}
+		if _, err := Run(chain, &greedy{}, Options{ArrivalTimes: []float64{0, at}}); err == nil {
+			t.Errorf("chain arrival %v accepted", at)
+		}
+	}
 }
 
 func TestArrivalInvisibleToPolicy(t *testing.T) {

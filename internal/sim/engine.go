@@ -66,10 +66,10 @@ type Options struct {
 	// ready (and is invisible to dynamic policies) before ArrivalTimes[k],
 	// even if it has no dependencies. The thesis submits whole streams at
 	// t = 0; arrival pacing is this repository's extension for studying λ
-	// under realistic streaming. Must be empty or have
-	// exactly one non-negative entry per kernel. Successors should not be
-	// scheduled to arrive before predecessors; the engine tolerates it
-	// (readiness waits for both) but λ then includes the arrival skew.
+	// under realistic streaming. Must be empty or have exactly one finite,
+	// non-negative entry per kernel. Successors should not be scheduled to
+	// arrive before predecessors; the engine tolerates it (readiness waits
+	// for both) but λ then includes the arrival skew.
 	ArrivalTimes []float64
 	// ActualCosts optionally splits estimation from reality: the policy
 	// keeps deciding with the Costs passed to Run (its "lookup table"),
@@ -86,12 +86,6 @@ type Options struct {
 	// estimates (Costs, BusyUntil) stay nominal, the same split as
 	// ActualCosts. Nil means the platform never degrades.
 	Degrade Degradation
-	// Lanes sets the parallel lane count for the trajectory-independent
-	// phases the engine runs after the event loop (latency-array fill and
-	// sorting; see lanes.go — the event trajectory itself is inherently
-	// sequential). 0 or 1 runs serial, > 1 uses that many lanes, < 0 one
-	// lane per CPU. Results are byte-identical for every value.
-	Lanes int
 }
 
 // Placement records the full lifecycle of one kernel in a finished
@@ -520,7 +514,6 @@ type engine struct {
 	lambdas     []float64
 	sojourns    []float64 // scratch for latency summaries, reused per run
 	qwaits      []float64
-	sortScratch []float64 // merge buffer for lane-parallel latency sorts
 	nFinished   int
 	selectCalls int
 	assignments int
@@ -545,12 +538,6 @@ type engine struct {
 	// built once per engine (not per start call) so the hot path does not
 	// allocate a closure per kernel launch.
 	placeFn func(dfg.KernelID) platform.ProcID
-
-	// latFn fills the latency arrays for one lane chunk. Like placeFn it is
-	// built once per engine and captures only e, so warm runs do not pay a
-	// closure allocation per result() call; it reads e.sojourns/e.qwaits,
-	// which result() sizes before fanning out.
-	latFn func(c laneChunk)
 }
 
 func (e *engine) readyLen() int { return len(e.ready) - e.readyHoles }
@@ -629,8 +616,8 @@ func (r *Runner) Run(c *Costs, pol Policy, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("sim: %d arrival times for %d kernels", len(opt.ArrivalTimes), c.g.NumKernels())
 	}
 	for i, at := range opt.ArrivalTimes {
-		if at < 0 {
-			return nil, fmt.Errorf("sim: kernel %d has negative arrival time %v", i, at)
+		if at < 0 || !finite(at) {
+			return nil, fmt.Errorf("sim: kernel %d has invalid arrival time %v (must be finite and non-negative)", i, at)
 		}
 	}
 	actual := opt.ActualCosts
@@ -953,32 +940,17 @@ func (e *engine) result() *Result {
 	for p := 0; p < np; p++ {
 		res.ProcStats[p].Proc = platform.ProcID(p)
 	}
-	lanes := e.opt.Lanes
 	n := len(e.placements)
-	// Latency arrays fill in parallel — disjoint indexed writes, one value
-	// per kernel — while every float accumulation below (per-processor time
-	// sums, λ totals) stays on this goroutine in kernel-ID order: float
-	// addition does not reassociate, and lane counts must never change
-	// output bytes (see lanes.go).
-	e.sojourns = grow(e.sojourns, n)
-	e.qwaits = grow(e.qwaits, n)
-	if e.latFn == nil {
-		e.latFn = func(c laneChunk) {
-			for i := c.lo; i < c.hi; i++ {
-				pl := &e.placements[i]
-				e.sojourns[i] = pl.Sojourn()
-				e.qwaits[i] = pl.QueueWait()
-			}
-		}
-	}
-	parallelChunks(n, lanes, e.latFn)
-	sojourns, qwaits := e.sojourns, e.qwaits
+	sojourns := grow(e.sojourns, n)
+	qwaits := grow(e.qwaits, n)
 	var makespan float64
 	// At most one λ per kernel: sizing the scratch once spares a cold
 	// Runner the append-doubling allocations.
 	lambdas := grow(e.lambdas, n)[:0]
 	for i := range e.placements {
 		pl := &e.placements[i]
+		sojourns[i] = pl.Sojourn()
+		qwaits[i] = pl.QueueWait()
 		if pl.Finish > makespan {
 			makespan = pl.Finish
 		}
@@ -990,21 +962,14 @@ func (e *engine) result() *Result {
 			lambdas = append(lambdas, l)
 		}
 	}
-	e.lambdas = lambdas
-	// The sorts behind the latency summaries are the expensive half of
-	// result assembly at scale; they shard across lanes and merge
-	// deterministically (sorted output is a pure function of the multiset).
-	// Only the scalar summaries escape into the Result, so warm runs stay
+	e.sojourns, e.qwaits, e.lambdas = sojourns, qwaits, lambdas
+	// Only the scalar summaries escape into the Result, so the sorted
+	// scratches are reused by the next run and warm runs stay
 	// allocation-lean.
-	// The sorted/spare returns rotate backing arrays between the latency
-	// scratches and the merge scratch, so each buffer keeps exactly one
-	// owner and nothing aliases across runs.
-	sorted, spare := parallelSortFloat64s(sojourns, e.sortScratch, lanes)
-	res.Sojourn = stats.SummarizeSorted(sorted)
-	e.sojourns, e.sortScratch = sorted, spare
-	sorted, spare = parallelSortFloat64s(qwaits, e.sortScratch, lanes)
-	res.QueueWait = stats.SummarizeSorted(sorted)
-	e.qwaits, e.sortScratch = sorted, spare
+	sort.Float64s(sojourns)
+	res.Sojourn = stats.SummarizeSorted(sojourns)
+	sort.Float64s(qwaits)
+	res.QueueWait = stats.SummarizeSorted(qwaits)
 	res.MakespanMs = makespan
 	for p := range res.ProcStats {
 		st := &res.ProcStats[p]
@@ -1025,25 +990,13 @@ func (e *engine) result() *Result {
 }
 
 // Validate re-checks the structural invariants of a finished simulation:
-// every kernel placed exactly once on a real processor; per-processor
-// occupancy intervals (transfer start to finish) never overlap; no kernel
-// starts its transfer before being assigned nor executes before all its
-// dependencies finish; λ is non-negative; and the reported makespan equals
-// the latest finish. It exists for tests and for downstream users embedding
-// custom policies.
+// every kernel placed exactly once on a real processor; every lifecycle
+// time and the makespan finite; per-processor occupancy intervals (transfer
+// start to finish) never overlap; no kernel starts its transfer before
+// being assigned nor executes before all its dependencies finish; λ is
+// non-negative; and the reported makespan equals the latest finish. It
+// exists for tests and for downstream users embedding custom policies.
 func (r *Result) Validate(g *dfg.Graph, sys *platform.System) error {
-	return r.ValidateLanes(g, sys, 1)
-}
-
-// ValidateLanes is Validate fanned out over the given number of parallel
-// lanes (0 or 1 serial, < 0 one per CPU). The per-kernel lifecycle checks shard
-// across kernel-index chunks and the per-processor occupancy scans across
-// processors; both report the same first error the serial walk would, for
-// any lane count (see lanes.go). The occupancy index is a counting sort
-// into one int32 slice — 4 bytes per kernel — instead of the former
-// map-of-placement-slices, which copied every 64-byte Placement once and
-// was the validation pass's dominant allocation at 100k+ kernels.
-func (r *Result) ValidateLanes(g *dfg.Graph, sys *platform.System, lanes int) error {
 	n := g.NumKernels()
 	if len(r.Placements) != n {
 		return fmt.Errorf("sim: %d placements for %d kernels", len(r.Placements), n)
@@ -1058,126 +1011,97 @@ func (r *Result) ValidateLanes(g *dfg.Graph, sys *platform.System, lanes int) er
 	// (ready+exec)−ready−exec, which rounds to ±ulp(finish), not ±1e-9).
 	eps := func(at float64) float64 { return 1e-9 * (1 + math.Abs(at)) }
 
-	chunks := laneChunks(n, lanes)
-	nl := len(chunks)
-	errs := make([]laneError, nl)
-	laneMax := make([]float64, nl)
-	// perLane[lane*np+p] counts lane-local kernels on processor p; the
-	// prefix pass below turns the columns into per-lane write cursors so
-	// every lane can fill its slice of the occupancy index without locks —
-	// each lane holds a private reservation of every processor's bucket.
-	perLane := make([]int32, nl*np)
-	parallelChunks(n, lanes, func(c laneChunk) {
-		counts := perLane[c.lane*np : (c.lane+1)*np]
-		var maxFinish float64
-		for i := c.lo; i < c.hi; i++ {
-			pl := &r.Placements[i]
-			if int(pl.Kernel) != i {
-				errs[c.lane] = laneError{at: i, err: fmt.Errorf("sim: placement %d records kernel %d", i, pl.Kernel)}
-				return
-			}
-			if pl.Proc < 0 || int(pl.Proc) >= np {
-				errs[c.lane] = laneError{at: i, err: fmt.Errorf("sim: kernel %d placed on unknown processor %d", i, pl.Proc)}
-				return
-			}
-			// Note: pl.Assign may precede pl.Ready — static policies commit
-			// kernels before their dependencies finish; that is legal.
-			if pl.TransferStart < pl.Assign-eps(pl.Assign) {
-				errs[c.lane] = laneError{at: i, err: fmt.Errorf("sim: kernel %d transfer (%v) before assignment (%v)", i, pl.TransferStart, pl.Assign)}
-				return
-			}
-			if pl.ExecStart < pl.TransferStart-eps(pl.TransferStart) || pl.Finish < pl.ExecStart-eps(pl.ExecStart) {
-				errs[c.lane] = laneError{at: i, err: fmt.Errorf("sim: kernel %d has non-monotonic lifecycle %+v", i, *pl)}
-				return
-			}
-			if pl.Lambda() < -eps(pl.Finish) {
-				errs[c.lane] = laneError{at: i, err: fmt.Errorf("sim: kernel %d has negative λ %v", i, pl.Lambda())}
-				return
-			}
-			for _, pred := range g.Preds(pl.Kernel) {
-				if r.Placements[pred].Finish > pl.TransferStart+eps(pl.TransferStart) {
-					errs[c.lane] = laneError{at: i, err: fmt.Errorf("sim: kernel %d starts transfers at %v before predecessor %d finishes at %v",
-						i, pl.TransferStart, pred, r.Placements[pred].Finish)}
-					return
-				}
-			}
-			counts[pl.Proc]++
-			if pl.Finish > maxFinish {
-				maxFinish = pl.Finish
-			}
-		}
-		laneMax[c.lane] = maxFinish
-	})
-	if err := firstLaneError(errs); err != nil {
-		return err
-	}
+	// Per-kernel lifecycle checks. The same pass counts each processor's
+	// kernels into starts[p+1] for the occupancy index below.
+	starts := make([]int32, np+1)
 	var maxFinish float64
-	for _, m := range laneMax { // float max is exact: no rounding, any merge order
-		if m > maxFinish {
-			maxFinish = m
+	for i := range r.Placements {
+		pl := &r.Placements[i]
+		if int(pl.Kernel) != i {
+			return fmt.Errorf("sim: placement %d records kernel %d", i, pl.Kernel)
+		}
+		if pl.Proc < 0 || int(pl.Proc) >= np {
+			return fmt.Errorf("sim: kernel %d placed on unknown processor %d", i, pl.Proc)
+		}
+		// Every comparison below is false against NaN, so non-finite times
+		// must be rejected before they can slip through.
+		for _, at := range [...]float64{pl.Arrival, pl.Ready, pl.Assign, pl.TransferStart, pl.ExecStart, pl.Finish} {
+			if !finite(at) {
+				return fmt.Errorf("sim: kernel %d has non-finite lifecycle %+v", i, *pl)
+			}
+		}
+		// Note: pl.Assign may precede pl.Ready — static policies commit
+		// kernels before their dependencies finish; that is legal.
+		if pl.TransferStart < pl.Assign-eps(pl.Assign) {
+			return fmt.Errorf("sim: kernel %d transfer (%v) before assignment (%v)", i, pl.TransferStart, pl.Assign)
+		}
+		if pl.ExecStart < pl.TransferStart-eps(pl.TransferStart) || pl.Finish < pl.ExecStart-eps(pl.ExecStart) {
+			return fmt.Errorf("sim: kernel %d has non-monotonic lifecycle %+v", i, *pl)
+		}
+		if pl.Lambda() < -eps(pl.Finish) {
+			return fmt.Errorf("sim: kernel %d has negative λ %v", i, pl.Lambda())
+		}
+		for _, pred := range g.Preds(pl.Kernel) {
+			if r.Placements[pred].Finish > pl.TransferStart+eps(pl.TransferStart) {
+				return fmt.Errorf("sim: kernel %d starts transfers at %v before predecessor %d finishes at %v",
+					i, pl.TransferStart, pred, r.Placements[pred].Finish)
+			}
+		}
+		starts[pl.Proc+1]++
+		if pl.Finish > maxFinish {
+			maxFinish = pl.Finish
 		}
 	}
-	if math.Abs(maxFinish-r.MakespanMs) > math.Max(1e-6, eps(maxFinish)) {
+	if !finite(r.MakespanMs) || math.Abs(maxFinish-r.MakespanMs) > math.Max(1e-6, eps(maxFinish)) {
 		return fmt.Errorf("sim: makespan %v != latest finish %v", r.MakespanMs, maxFinish)
 	}
 
-	// Turn the per-lane counts into write cursors: cursor(lane, p) =
-	// bucket start of p + kernels earlier lanes put on p. Filling through
-	// these cursors is a stable counting sort — bucket entries come out in
-	// ascending kernel index for any lane count.
-	starts := make([]int32, np+1)
+	// The occupancy index is a stable counting sort into one int32 slice —
+	// 4 bytes per kernel — bucketed by processor, each bucket in ascending
+	// kernel index.
 	for p := 0; p < np; p++ {
-		var total int32
-		for l := 0; l < nl; l++ {
-			c := perLane[l*np+p]
-			perLane[l*np+p] = starts[p] + total
-			total += c
-		}
-		starts[p+1] = starts[p] + total
+		starts[p+1] += starts[p]
 	}
-	byProc := make([]int32, n) // occupancy index: kernel indices bucketed by processor
-	parallelChunks(n, lanes, func(c laneChunk) {
-		cursors := perLane[c.lane*np : (c.lane+1)*np]
-		for i := c.lo; i < c.hi; i++ {
-			p := r.Placements[i].Proc
-			byProc[cursors[p]] = int32(i)
-			cursors[p]++
-		}
-	})
+	cursors := append([]int32(nil), starts[:np]...)
+	byProc := make([]int32, n)
+	for i := range r.Placements {
+		p := r.Placements[i].Proc
+		byProc[cursors[p]] = int32(i)
+		cursors[p]++
+	}
 
 	// Per-processor occupancy: order each bucket by transfer start and scan
-	// for overlap. Buckets are independent, so they shard across lanes; the
-	// first error is deterministic because buckets are walked by (processor,
-	// position) stamp. Ties on TransferStart order by kernel index so the
-	// sort — and any reported overlap pair — is a total order.
-	// Sized by this scan's own chunk count: lanes normalise against the
-	// processor count here, not the kernel count, and np may exceed n.
-	procErrs := make([]laneError, len(laneChunks(np, lanes)))
-	parallelChunks(np, lanes, func(c laneChunk) {
-		for p := c.lo; p < c.hi; p++ {
-			if procErrs[c.lane].err != nil {
-				return
+	// for overlap. Ties on TransferStart order by kernel index so the sort —
+	// and any reported overlap pair — is a total order.
+	for p := 0; p < np; p++ {
+		bucket := byProc[starts[p]:starts[p+1]]
+		sort.Slice(bucket, func(i, j int) bool {
+			a, b := &r.Placements[bucket[i]], &r.Placements[bucket[j]]
+			if a.TransferStart < b.TransferStart {
+				return true
 			}
-			bucket := byProc[starts[p]:starts[p+1]]
-			sort.Slice(bucket, func(i, j int) bool {
-				a, b := &r.Placements[bucket[i]], &r.Placements[bucket[j]]
-				if a.TransferStart < b.TransferStart {
-					return true
-				}
-				if b.TransferStart < a.TransferStart {
-					return false
-				}
-				return bucket[i] < bucket[j]
-			})
-			for i := 1; i < len(bucket); i++ {
-				prev, cur := &r.Placements[bucket[i-1]], &r.Placements[bucket[i]]
-				if cur.TransferStart < prev.Finish-eps(prev.Finish) {
-					procErrs[c.lane] = laneError{at: p, err: fmt.Errorf("sim: processor %d overlap: kernel %d (start %v) before kernel %d finished (%v)",
-						p, cur.Kernel, cur.TransferStart, prev.Kernel, prev.Finish)}
-					return
-				}
+			if b.TransferStart < a.TransferStart {
+				return false
+			}
+			return bucket[i] < bucket[j]
+		})
+		for i := 1; i < len(bucket); i++ {
+			prev, cur := &r.Placements[bucket[i-1]], &r.Placements[bucket[i]]
+			if cur.TransferStart < prev.Finish-eps(prev.Finish) {
+				return fmt.Errorf("sim: processor %d overlap: kernel %d (start %v) before kernel %d finished (%v)",
+					p, cur.Kernel, cur.TransferStart, prev.Kernel, prev.Finish)
 			}
 		}
-	})
-	return firstLaneError(procErrs)
+	}
+	return nil
 }
+
+// ValidateLanes is Validate; the lanes argument is ignored. It remains only
+// for the benchmark harness under aptbench/, which still calls it, until
+// that harness switches to Validate.
+func (r *Result) ValidateLanes(g *dfg.Graph, sys *platform.System, _ int) error {
+	return r.Validate(g, sys)
+}
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -481,5 +482,173 @@ func TestGreedyScheduleValidProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// fuzzDAG decodes an arbitrary byte string into a DAG over the tiny test
+// table's kernel names: the first byte picks the vertex count (2..41), the
+// second alternates names, every following byte pair an edge directed low
+// ID -> high ID — always acyclic and often disconnected.
+func fuzzDAG(data []byte) *dfg.Graph {
+	if len(data) < 2 {
+		return nil
+	}
+	n := int(data[0])%40 + 2
+	b := dfg.NewBuilder()
+	for i := 0; i < n; i++ {
+		name := "a"
+		if (int(data[1])+i)%3 == 0 {
+			name = "b"
+		}
+		b.AddKernel(dfg.Kernel{Name: name, DataElems: 1000})
+	}
+	for i := 2; i+1 < len(data); i += 2 {
+		u := dfg.KernelID(int(data[i]) % n)
+		v := dfg.KernelID(int(data[i+1]) % n)
+		if u == v {
+			continue
+		}
+		if u > v {
+			u, v = v, u
+		}
+		b.AddEdge(u, v)
+	}
+	return b.MustBuild()
+}
+
+// FuzzEngineOracle runs the engine on arbitrary DAGs: the interned cost
+// oracle must match per-kernel lookups bit for bit, and every schedule the
+// engine produces must pass Validate.
+func FuzzEngineOracle(f *testing.F) {
+	f.Add([]byte{5, 0})
+	f.Add([]byte{11, 1, 0, 1, 1, 2, 0, 2, 5, 9})
+	f.Add([]byte{39, 2, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 200, 100})
+	env := tinyF(f, 4)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := fuzzDAG(data)
+		if g == nil {
+			return
+		}
+		costs, err := PrepareCosts(g, env.sys, env.tab, CostConfig{})
+		if err != nil {
+			return
+		}
+		assertMatchesReference(t, costs, env.tab)
+		res, err := Run(costs, &greedy{}, Options{})
+		if err != nil {
+			return
+		}
+		if err := res.Validate(g, env.sys); err != nil {
+			t.Fatalf("schedule rejected: %v", err)
+		}
+	})
+}
+
+// tinyF is tiny for fuzz targets (testing.F and testing.T share no common
+// interface, so the setup is duplicated rather than abstracted).
+func tinyF(f *testing.F, rate platform.GBps) tinyEnv {
+	f.Helper()
+	tab, err := lut.New([]lut.Entry{
+		{Kernel: "a", DataElems: 1000, TimeMs: map[platform.Kind]float64{
+			platform.CPU: 10, platform.GPU: 2, platform.FPGA: 50}},
+		{Kernel: "b", DataElems: 1000, TimeMs: map[platform.Kind]float64{
+			platform.CPU: 4, platform.GPU: 8, platform.FPGA: 1}},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	return tinyEnv{sys: platform.PaperSystem(rate), tab: tab}
+}
+
+// TestValidateRejects corrupts one field of a valid schedule at a time and
+// expects Validate to refuse it, including non-finite times, which every
+// ordering check lets through because comparisons against NaN are false.
+func TestValidateRejects(t *testing.T) {
+	env := tiny(t, 4)
+	b := dfg.NewBuilder()
+	k0 := b.AddKernel(dfg.Kernel{Name: "a", DataElems: 1000})
+	k1 := b.AddKernel(dfg.Kernel{Name: "b", DataElems: 1000})
+	k2 := b.AddKernel(dfg.Kernel{Name: "a", DataElems: 1000})
+	b.AddEdge(k0, k1)
+	g := b.MustBuild()
+	gpu := platform.ProcID(-1)
+	for p := 0; p < env.sys.NumProcs(); p++ {
+		if env.sys.KindOf(platform.ProcID(p)) == platform.GPU {
+			gpu = platform.ProcID(p)
+			break
+		}
+	}
+	// Everything on one GPU, so k0, k1 and k2 occupy it back to back.
+	pol := &fixed{as: []Assignment{{k0, gpu}, {k1, gpu}, {k2, gpu}}}
+	valid, err := Run(mustCosts(t, g, env), pol, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := valid.Validate(g, env.sys); err != nil {
+		t.Fatalf("unmodified schedule rejected: %v", err)
+	}
+	corrupt := func(mutate func(r *Result)) *Result {
+		r := *valid
+		r.Placements = append([]Placement(nil), valid.Placements...)
+		mutate(&r)
+		return &r
+	}
+	// Each case names the check that must catch it: the error text has to
+	// contain want, so a case cannot pass by tripping an unrelated check.
+	type corruption struct {
+		want   string
+		mutate func(r *Result)
+	}
+	cases := map[string]corruption{
+		"wrong kernel":      {"records kernel", func(r *Result) { r.Placements[1].Kernel = 2 }},
+		"unknown processor": {"unknown processor", func(r *Result) { r.Placements[1].Proc = platform.ProcID(env.sys.NumProcs()) }},
+		"transfer before assignment": {"before assignment", func(r *Result) {
+			r.Placements[1].Assign = r.Placements[1].TransferStart + 1
+		}},
+		"exec before transfer": {"non-monotonic", func(r *Result) {
+			r.Placements[1].ExecStart = r.Placements[1].TransferStart - 1
+		}},
+		"transfer before predecessor finishes": {"before predecessor", func(r *Result) {
+			r.Placements[1].Assign, r.Placements[1].TransferStart = 0, 0
+		}},
+		"makespan mismatch": {"makespan", func(r *Result) { r.MakespanMs++ }},
+		"overlap": {"overlap", func(r *Result) {
+			// k2 (no predecessors) moved onto k0's slot of the same GPU.
+			pl := &r.Placements[2]
+			pl.Assign, pl.TransferStart, pl.ExecStart, pl.Finish = 0, 0, 0, r.Placements[0].Finish
+			r.MakespanMs = math.Max(r.Placements[1].Finish, pl.Finish)
+		}},
+		"NaN makespan":  {"makespan", func(r *Result) { r.MakespanMs = math.NaN() }},
+		"+Inf makespan": {"makespan", func(r *Result) { r.MakespanMs = math.Inf(1) }},
+		"all +Inf": {"non-finite", func(r *Result) {
+			for i := range r.Placements {
+				pl := &r.Placements[i]
+				pl.Arrival, pl.Ready, pl.Assign = math.Inf(1), math.Inf(1), math.Inf(1)
+				pl.TransferStart, pl.ExecStart, pl.Finish = math.Inf(1), math.Inf(1), math.Inf(1)
+			}
+			r.MakespanMs = math.Inf(1)
+		}},
+	}
+	fields := map[string]func(pl *Placement) *float64{
+		"Arrival":       func(pl *Placement) *float64 { return &pl.Arrival },
+		"Ready":         func(pl *Placement) *float64 { return &pl.Ready },
+		"Assign":        func(pl *Placement) *float64 { return &pl.Assign },
+		"TransferStart": func(pl *Placement) *float64 { return &pl.TransferStart },
+		"ExecStart":     func(pl *Placement) *float64 { return &pl.ExecStart },
+		"Finish":        func(pl *Placement) *float64 { return &pl.Finish },
+	}
+	for name, field := range fields {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cases[fmt.Sprintf("%s %v", name, bad)] = corruption{"non-finite", func(r *Result) { *field(&r.Placements[1]) = bad }}
+		}
+	}
+	for name, c := range cases {
+		err := corrupt(c.mutate).Validate(g, env.sys)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate = %v, want an error containing %q", name, err, c.want)
+		}
+	}
+	if err := valid.Validate(g, env.sys); err != nil {
+		t.Fatalf("corruption leaked into the original schedule: %v", err)
 	}
 }

@@ -26,11 +26,6 @@ import (
 // and cost tables, no per-vertex allocations).
 func benchScale(b *testing.B, n int) {
 	b.Helper()
-	benchScaleOpt(b, n, nil)
-}
-
-func benchScaleOpt(b *testing.B, n int, opt *apt.Options) {
-	b.Helper()
 	w, err := apt.GenerateLayeredWorkload(n, 0, 0, 7)
 	if err != nil {
 		b.Fatal(err)
@@ -42,7 +37,7 @@ func benchScaleOpt(b *testing.B, n int, opt *apt.Options) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := apt.Run(w, m, apt.HEFT(), opt)
+		res, err := apt.Run(w, m, apt.HEFT(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,13 +56,6 @@ func BenchmarkScale100k(b *testing.B) { benchScale(b, 100_000) }
 // caps (ci/benchgate -max-bpk). One op takes tens of seconds; CI's smoke
 // pass runs it once, the regression gate a few times.
 func BenchmarkScale1M(b *testing.B) { benchScale(b, 1_000_000) }
-
-// BenchmarkScalePartitioned10k runs the 10k graph through the lane-parallel
-// phases (one lane per CPU): identical output to BenchmarkScale10k, so the
-// pair measures exactly the lane overhead/win on the current machine.
-func BenchmarkScalePartitioned10k(b *testing.B) {
-	benchScaleOpt(b, 10_000, &apt.Options{Lanes: -1})
-}
 
 // sweepFixture prepares one 10k-kernel cost oracle on a 16-processor
 // machine for the repeated-graph sweep benches.
